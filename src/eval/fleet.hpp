@@ -49,7 +49,7 @@ struct PolicySpec {
   /// the session baseline as denominator — cross-profile comparisons
   /// should ratio raw cell energies against a baseline column carrying
   /// the same override.
-  std::optional<RadioSet> radios;
+  std::optional<RadioSet> radios = std::nullopt;
 };
 
 /// The §VI comparison suite: baseline, oracle, NetMaster, and

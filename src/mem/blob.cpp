@@ -22,6 +22,11 @@ namespace {
 constexpr std::uint32_t kBlobMagic = 0x42554D4E;     // "NMUB"
 constexpr std::uint32_t kSectionMagic = 0x52544D4E;  // "NMTR"
 constexpr std::size_t kHeaderBytes = 24;
+/// Smallest encoded trace section: the 48 fixed bytes (magic, user,
+/// num_days, num_apps and four u64 counts) plus the one app-name offset
+/// every section carries. Bounds the header's trace count, which the
+/// payload CRC does not cover.
+constexpr std::size_t kMinTraceBytes = 48 + sizeof(std::uint32_t);
 constexpr std::uint8_t kFlagUserInitiated = 1;
 constexpr std::uint8_t kFlagDeferrable = 2;
 
@@ -299,6 +304,9 @@ std::vector<UserTrace> UserBlob::decode(std::span<const std::byte> bytes) {
   }
   const std::span<const std::byte> payload = bytes.subspan(kHeaderBytes);
   if (crc32(payload) != crc) fail("payload checksum mismatch");
+  if (trace_count > payload.size() / kMinTraceBytes) {
+    fail("trace count exceeds what the payload can hold");
+  }
 
   Reader r(payload);
   std::vector<UserTrace> traces;

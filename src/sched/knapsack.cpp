@@ -57,11 +57,31 @@ inline bool bit_get(const std::vector<std::uint64_t>& bits,
   return (bits[row * row_words + col / 64] >> (col % 64)) & 1;
 }
 
+/// Records one FPTAS solve that got past the candidate partition:
+/// `cells` DP cells touched (0 on the take-all path).
+void record_fptas_solve(std::uint64_t cells, bool take_all,
+                        SolveStats* stats) {
+  struct KnapsackMetrics {
+    obs::Counter& solves;
+    obs::Counter& iterations;
+  };
+  static KnapsackMetrics metrics{
+      obs::Registry::global().counter("sched.knapsack.solves"),
+      obs::Registry::global().counter("sched.knapsack.iterations"),
+  };
+  metrics.solves.add(1);
+  metrics.iterations.add(cells);
+  if (stats != nullptr) {
+    stats->dp_cells += cells;
+    stats->slack_slots += take_all ? 1 : 0;
+  }
+}
+
 }  // namespace
 
 KnapResult knapsack_exact(std::span<const KnapItem> items,
                           std::int64_t capacity, SchedWorkspace& ws,
-                          std::uint64_t* dp_cells) {
+                          SolveStats* stats) {
   NM_REQUIRE(capacity >= 0, "capacity must be non-negative");
   validate_items(items);
   const std::size_t n = items.size();
@@ -104,13 +124,13 @@ KnapResult knapsack_exact(std::span<const KnapItem> items,
     }
   }
   std::reverse(result.chosen.begin(), result.chosen.end());
-  if (dp_cells != nullptr) *dp_cells += cells;
+  if (stats != nullptr) stats->dp_cells += cells;
   return result;
 }
 
 KnapResult knapsack_greedy(std::span<const KnapItem> items,
                            std::int64_t capacity, SchedWorkspace& ws,
-                           std::uint64_t* dp_cells) {
+                           SolveStats* /*stats*/) {
   NM_REQUIRE(capacity >= 0, "capacity must be non-negative");
   validate_items(items);
   ratio_order(items, ws.order);
@@ -126,13 +146,12 @@ KnapResult knapsack_greedy(std::span<const KnapItem> items,
       remaining -= item.weight;
     }
   }
-  (void)dp_cells;  // no DP table; the greedy touches no cells
   return result;
 }
 
 KnapResult knapsack_fptas(std::span<const KnapItem> items,
                           std::int64_t capacity, double eps,
-                          SchedWorkspace& ws, std::uint64_t* dp_cells) {
+                          SchedWorkspace& ws, SolveStats* stats) {
   NM_REQUIRE(capacity >= 0, "capacity must be non-negative");
   NM_REQUIRE(eps > 0.0 && eps < 1.0, "eps must be in (0, 1)");
   validate_items(items);
@@ -174,6 +193,35 @@ KnapResult knapsack_fptas(std::span<const KnapItem> items,
   NM_REQUIRE(static_cast<double>(candidates.size()) *
                  static_cast<double>(total_scaled + 1) <=
              4e8, "FPTAS choice table too large; increase eps");
+
+  // Take-all fast path. When every candidate fits at once, the DP's top
+  // index total_scaled is reachable within capacity, so best_s ==
+  // total_scaled; the only subset summing to it is every candidate with
+  // a positive scaled profit; and sp == 0 rows never set a take bit. The
+  // reconstruction below would therefore pick exactly those candidates,
+  // last to first, so this loop keeps its order and profit summation.
+  // The table-limit checks above still run first, so an instance the DP
+  // refuses is refused here too.
+  std::int64_t candidate_weight = 0;  // stays <= capacity: no overflow
+  bool all_fit = true;
+  for (std::size_t i : candidates) {
+    if (items[i].weight > capacity - candidate_weight) {
+      all_fit = false;
+      break;
+    }
+    candidate_weight += items[i].weight;
+  }
+  if (all_fit) {
+    for (std::size_t k = candidates.size(); k-- > 0;) {
+      if (scaled[k] == 0) continue;
+      const KnapItem& item = items[candidates[k]];
+      result.chosen.push_back(item.id);
+      result.profit += item.profit;
+      result.weight += item.weight;
+    }
+    record_fptas_solve(0, true, stats);
+    return result;
+  }
 
   // min_weight[s] = least weight achieving scaled profit exactly s.
   constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
@@ -226,18 +274,7 @@ KnapResult knapsack_fptas(std::span<const KnapItem> items,
   }
   NM_ASSERT(s == 0, "FPTAS reconstruction must consume the profit");
   NM_ASSERT(result.weight <= capacity, "FPTAS result exceeds capacity");
-
-  struct KnapsackMetrics {
-    obs::Counter& solves;
-    obs::Counter& iterations;
-  };
-  static KnapsackMetrics metrics{
-      obs::Registry::global().counter("sched.knapsack.solves"),
-      obs::Registry::global().counter("sched.knapsack.iterations"),
-  };
-  metrics.solves.add(1);
-  metrics.iterations.add(dp_iterations);
-  if (dp_cells != nullptr) *dp_cells += dp_iterations;
+  record_fptas_solve(dp_iterations, false, stats);
   return result;
 }
 

@@ -54,7 +54,8 @@ KnapResult knapsack_greedy(std::span<const KnapItem> items,
 /// better quality and more work: O(n^2 * ceil(n/eps)) time in the worst
 /// case. Items with non-positive profit or weight exceeding capacity
 /// are never chosen; zero-weight positive-profit items are always
-/// chosen.
+/// chosen. When the remaining items all fit at once, the DP is skipped
+/// and the result (identical to the DP's) is computed directly.
 KnapResult knapsack_fptas(std::span<const KnapItem> items,
                           std::int64_t capacity, double eps);
 

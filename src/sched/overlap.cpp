@@ -218,7 +218,7 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
     }
     chosen_per_slot[s] = solver_for(resolved)
                              .solve(list, slots[s].capacity, options, ws,
-                                    stats.dp_cells)
+                                    stats)
                              .chosen;
   }
 
@@ -307,6 +307,7 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
     obs::Counter& items;
     obs::Counter& slots;
     obs::Counter& dp_cells;
+    obs::Counter& slack_slots;
     obs::Counter& backend_fptas;
     obs::Counter& backend_exact;
     obs::Counter& backend_greedy;
@@ -317,6 +318,7 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
       obs::Registry::global().counter("sched.solver.items"),
       obs::Registry::global().counter("sched.solver.slots"),
       obs::Registry::global().counter("sched.solver.dp_cells"),
+      obs::Registry::global().counter("sched.solver.slack_slots"),
       obs::Registry::global().counter("sched.solver.slot_solves.fptas"),
       obs::Registry::global().counter("sched.solver.slot_solves.exact"),
       obs::Registry::global().counter("sched.solver.slot_solves.greedy"),
@@ -327,6 +329,7 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
   metrics.items.add(stats.items);
   metrics.slots.add(stats.slots);
   metrics.dp_cells.add(stats.dp_cells);
+  metrics.slack_slots.add(stats.slack_slots);
   metrics.backend_fptas.add(stats.slot_solves_fptas);
   metrics.backend_exact.add(stats.slot_solves_exact);
   metrics.backend_greedy.add(stats.slot_solves_greedy);

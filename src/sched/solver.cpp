@@ -50,8 +50,8 @@ class FptasSolver final : public SinKnapSolver {
   SolverChoice choice() const override { return SolverChoice::kFptas; }
   KnapResult solve(std::span<const KnapItem> items, std::int64_t capacity,
                    const SolverOptions& options, SchedWorkspace& ws,
-                   std::uint64_t& dp_cells) const override {
-    return knapsack_fptas(items, capacity, options.eps, ws, &dp_cells);
+                   SolveStats& stats) const override {
+    return knapsack_fptas(items, capacity, options.eps, ws, &stats);
   }
 };
 
@@ -60,8 +60,8 @@ class ExactSolver final : public SinKnapSolver {
   SolverChoice choice() const override { return SolverChoice::kExact; }
   KnapResult solve(std::span<const KnapItem> items, std::int64_t capacity,
                    const SolverOptions& /*options*/, SchedWorkspace& ws,
-                   std::uint64_t& dp_cells) const override {
-    return knapsack_exact(items, capacity, ws, &dp_cells);
+                   SolveStats& stats) const override {
+    return knapsack_exact(items, capacity, ws, &stats);
   }
 };
 
@@ -70,8 +70,8 @@ class GreedySolver final : public SinKnapSolver {
   SolverChoice choice() const override { return SolverChoice::kGreedy; }
   KnapResult solve(std::span<const KnapItem> items, std::int64_t capacity,
                    const SolverOptions& /*options*/, SchedWorkspace& ws,
-                   std::uint64_t& dp_cells) const override {
-    return knapsack_greedy(items, capacity, ws, &dp_cells);
+                   SolveStats& stats) const override {
+    return knapsack_greedy(items, capacity, ws, &stats);
   }
 };
 
@@ -97,9 +97,9 @@ class AutoSolver final : public SinKnapSolver {
 
   KnapResult solve(std::span<const KnapItem> items, std::int64_t capacity,
                    const SolverOptions& options, SchedWorkspace& ws,
-                   std::uint64_t& dp_cells) const override {
+                   SolveStats& stats) const override {
     return solver_for(resolve(items.size(), capacity, options))
-        .solve(items, capacity, options, ws, dp_cells);
+        .solve(items, capacity, options, ws, stats);
   }
 };
 

@@ -78,6 +78,9 @@ struct SolveStats {
   std::size_t slot_solves_exact = 0;
   std::size_t slot_solves_greedy = 0;
   std::uint64_t dp_cells = 0;  ///< DP cells touched across all slots
+  /// FPTAS slot solves whose candidates all fit, answered by the
+  /// take-all path without touching a DP cell.
+  std::size_t slack_slots = 0;
   double profit = 0.0;         ///< solution profit
   /// Σ per-slot fractional bounds over the duplicated itemsets — an
   /// upper bound on the overlapped optimum (loose by up to 2×).
@@ -150,11 +153,12 @@ class SinKnapSolver {
   }
 
   /// Solves one 0/1 knapsack using `ws` scratch; adds the DP cells
-  /// touched to `dp_cells`. Result contract matches knapsack.hpp.
+  /// touched to `stats.dp_cells` and a take-all solve to
+  /// `stats.slack_slots`. Result contract matches knapsack.hpp.
   virtual KnapResult solve(std::span<const KnapItem> items,
                            std::int64_t capacity,
                            const SolverOptions& options, SchedWorkspace& ws,
-                           std::uint64_t& dp_cells) const = 0;
+                           SolveStats& stats) const = 0;
 };
 
 /// The (stateless, immortal) solver for a backend choice.
@@ -177,19 +181,20 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
 // ---- Workspace-parameterized kernels (implemented in knapsack.cpp).
 // The knapsack.hpp free functions delegate here with the calling
 // thread's workspace; hot paths pass an explicit workspace to skip even
-// the thread_local lookup. `dp_cells`, when non-null, accumulates the
-// DP cells touched. Results are bit-for-bit identical to the
-// allocation-per-call seed kernels. ----
+// the thread_local lookup. `stats`, when non-null, accumulates the DP
+// cells touched (`dp_cells`) and FPTAS take-all solves (`slack_slots`).
+// Results are bit-for-bit identical to the allocation-per-call seed
+// kernels. ----
 
 KnapResult knapsack_exact(std::span<const KnapItem> items,
                           std::int64_t capacity, SchedWorkspace& ws,
-                          std::uint64_t* dp_cells = nullptr);
+                          SolveStats* stats = nullptr);
 KnapResult knapsack_greedy(std::span<const KnapItem> items,
                            std::int64_t capacity, SchedWorkspace& ws,
-                           std::uint64_t* dp_cells = nullptr);
+                           SolveStats* stats = nullptr);
 KnapResult knapsack_fptas(std::span<const KnapItem> items,
                           std::int64_t capacity, double eps,
                           SchedWorkspace& ws,
-                          std::uint64_t* dp_cells = nullptr);
+                          SolveStats* stats = nullptr);
 
 }  // namespace netmaster::sched

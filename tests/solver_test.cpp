@@ -13,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "sched/knapsack.hpp"
 #include "sched/overlap.hpp"
 #include "sched/solver.hpp"
@@ -311,16 +312,17 @@ TEST(AutoResolve, SolveMatchesDelegateBitForBit) {
     const SolverChoice resolved =
         auto_solver.resolve(items.size(), cap, options);
     (resolved == SolverChoice::kExact ? saw_exact : saw_fptas) = true;
-    std::uint64_t cells_auto = 0, cells_delegate = 0;
+    SolveStats stats_auto, stats_delegate;
     const KnapResult via_auto =
-        auto_solver.solve(items, cap, options, ws, cells_auto);
+        auto_solver.solve(items, cap, options, ws, stats_auto);
     const KnapResult via_delegate =
         solver_for(resolved).solve(items, cap, options, ws,
-                                   cells_delegate);
+                                   stats_delegate);
     EXPECT_EQ(via_auto.chosen, via_delegate.chosen);
     EXPECT_EQ(via_auto.profit, via_delegate.profit);
     EXPECT_EQ(via_auto.weight, via_delegate.weight);
-    EXPECT_EQ(cells_auto, cells_delegate);
+    EXPECT_EQ(stats_auto.dp_cells, stats_delegate.dp_cells);
+    EXPECT_EQ(stats_auto.slack_slots, stats_delegate.slack_slots);
   }
   EXPECT_TRUE(saw_exact);
   EXPECT_TRUE(saw_fptas);
@@ -478,6 +480,218 @@ TEST(SolveStats, ReportsBackendMixUnderAuto) {
   EXPECT_EQ(stats.slot_solves_fptas, 1u);
   EXPECT_GT(stats.dp_cells, 0u);
   EXPECT_EQ(stats.duplicated_items, 24u);
+}
+
+// ---------------------------------------------------------------------
+// Take-all fast path: when a slot's candidates all fit, knapsack_fptas
+// skips the DP. It must return exactly what the frozen legacy DP does.
+// ---------------------------------------------------------------------
+
+/// A knapsack whose profitable, fitting items (the FPTAS candidates)
+/// weigh `fit_weight` in total, mixed with every item kind the
+/// candidate partition filters or the scaling rounds to zero.
+struct SlackKnapsack {
+  std::vector<KnapItem> items;
+  std::int64_t fit_weight = 0;
+};
+
+SlackKnapsack random_slack_knapsack(Rng& rng, double eps) {
+  SlackKnapsack k;
+  int id = 0;
+  // pmax = 100 pins the scale eps·pmax/n at >= eps·100/n.
+  const int n_fit = static_cast<int>(rng.uniform_int(2, 30));
+  const int n_tiny = static_cast<int>(rng.uniform_int(0, 5));
+  const int n_total = n_fit + n_tiny;
+  for (int i = 0; i < n_fit; ++i) {
+    const double profit = i == 0 ? 100.0 : rng.uniform(1.0, 100.0);
+    const std::int64_t weight = rng.uniform_int(1, 60);
+    k.items.push_back({id++, profit, weight});
+    k.fit_weight += weight;
+  }
+  // 0 < profit < eps·pmax/n: a candidate whose scaled profit is 0.
+  const double tiny_bound = eps * 100.0 / n_total;
+  for (int i = 0; i < n_tiny; ++i) {
+    const std::int64_t weight = rng.uniform_int(1, 20);
+    k.items.push_back({id++, rng.uniform(0.01, 0.99) * tiny_bound, weight});
+    k.fit_weight += weight;
+  }
+  // Zero-weight items (profitable ones are always taken) and
+  // non-positive profits (never candidates, whatever their weight).
+  for (int i = static_cast<int>(rng.uniform_int(0, 3)); i > 0; --i) {
+    k.items.push_back({id++, rng.uniform(-5.0, 50.0), 0});
+  }
+  for (int i = static_cast<int>(rng.uniform_int(0, 3)); i > 0; --i) {
+    k.items.push_back(
+        {id++, i == 1 ? 0.0 : -rng.uniform(0.1, 9.0), rng.uniform_int(1, 80)});
+  }
+  // Shuffle so candidates interleave with the filtered items.
+  for (std::size_t i = k.items.size(); i > 1; --i) {
+    std::swap(k.items[i - 1],
+              k.items[static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+  }
+  return k;
+}
+
+/// Appends profitable items wider than `capacity` (never candidates).
+void add_wide_items(Rng& rng, std::vector<KnapItem>& items,
+                    std::int64_t capacity) {
+  int id = 1000;
+  for (int i = static_cast<int>(rng.uniform_int(0, 3)); i > 0; --i) {
+    const auto at = rng.uniform_int(0, static_cast<std::int64_t>(items.size()));
+    items.insert(items.begin() + at,
+                 KnapItem{id++, rng.uniform(1.0, 200.0),
+                          capacity + rng.uniform_int(1, 100)});
+  }
+}
+
+void expect_same_knap(const KnapResult& got, const KnapResult& want) {
+  EXPECT_EQ(got.chosen, want.chosen);
+  EXPECT_EQ(got.profit, want.profit);  // bit-for-bit, no tolerance
+  EXPECT_EQ(got.weight, want.weight);
+}
+
+TEST(TakeAllFastPath, MatchesLegacyDpOnRandomSlackInstances) {
+  Rng rng(4242);
+  SchedWorkspace ws;
+  bool saw_sp_zero = false;
+  for (const double eps : {0.05, 0.1, 0.5}) {
+    for (int run = 0; run < 200; ++run) {
+      SlackKnapsack k = random_slack_knapsack(rng, eps);
+      // Exact fit on every fourth run, otherwise some slack.
+      const std::int64_t capacity =
+          k.fit_weight + (run % 4 == 0 ? 0 : rng.uniform_int(1, 500));
+      add_wide_items(rng, k.items, capacity);
+      const KnapResult want = legacy::fptas(k.items, capacity, eps);
+      SolveStats stats;
+      const KnapResult got = knapsack_fptas(k.items, capacity, eps, ws,
+                                            &stats);
+      expect_same_knap(got, want);
+      EXPECT_EQ(stats.slack_slots, 1u) << "eps=" << eps << " run=" << run;
+      EXPECT_EQ(stats.dp_cells, 0u);
+      EXPECT_LE(got.weight, capacity);
+      // A candidate the scaling rounds to zero is left out, as the DP
+      // leaves it out.
+      for (const KnapItem& item : k.items) {
+        if (item.profit > 0.0 && item.weight > 0 &&
+            item.weight <= capacity &&
+            std::find(got.chosen.begin(), got.chosen.end(), item.id) ==
+                got.chosen.end()) {
+          saw_sp_zero = true;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_sp_zero);
+}
+
+TEST(TakeAllFastPath, OneByteOverCapacityRunsTheDp) {
+  Rng rng(777);
+  SchedWorkspace ws;
+  for (int run = 0; run < 200; ++run) {
+    const double eps = run % 2 == 0 ? 0.1 : 0.3;
+    SlackKnapsack k = random_slack_knapsack(rng, eps);
+    // Every candidate weighs at most 60 and there are at least two, so
+    // each still fits alone and only the total overflows.
+    const std::int64_t capacity = k.fit_weight - 1;
+    add_wide_items(rng, k.items, capacity);
+    const KnapResult want = legacy::fptas(k.items, capacity, eps);
+    SolveStats stats;
+    const KnapResult got = knapsack_fptas(k.items, capacity, eps, ws,
+                                          &stats);
+    expect_same_knap(got, want);
+    EXPECT_EQ(stats.slack_slots, 0u) << "run=" << run;
+    EXPECT_GT(stats.dp_cells, 0u);
+  }
+}
+
+TEST(TakeAllFastPath, TableLimitStillRefusesSlackInstances) {
+  // 200 equal-profit unit-weight items at eps = 0.01 scale to 20,000
+  // each: the choice table is 200 * (4e6 + 1) > 4e8 cells. Every item
+  // fits, but the limit is checked before the fast path.
+  std::vector<KnapItem> items;
+  for (int i = 0; i < 200; ++i) items.push_back({i, 5.0, 1});
+  SchedWorkspace ws;
+  SolveStats stats;
+  EXPECT_THROW(knapsack_fptas(items, 1'000'000'000, 0.01, ws, &stats),
+               Error);
+  EXPECT_EQ(stats.slack_slots, 0u);
+  // The same items at a coarser eps fit the table and take the fast path.
+  EXPECT_EQ(knapsack_fptas(items, 1'000'000'000, 0.5, ws, &stats)
+                .chosen.size(),
+            items.size());
+  EXPECT_EQ(stats.slack_slots, 1u);
+}
+
+/// Slots of `inst` whose FPTAS candidates (positive profit in that slot,
+/// 0 < weight <= capacity) exist and all fit together.
+std::size_t count_slack_slots(const OverlapInstance& inst) {
+  std::size_t slack = 0;
+  for (std::size_t s = 0; s < inst.slots.size(); ++s) {
+    const std::int64_t cap = inst.slots[s].capacity;
+    const int slot = static_cast<int>(s);
+    std::int64_t weight = 0;
+    bool any = false;
+    for (const OverlapItem& item : inst.items) {
+      if (item.prev_slot != slot && item.next_slot != slot) continue;
+      if (item.profit_in(slot) <= 0.0 || item.weight == 0 ||
+          item.weight > cap) {
+        continue;
+      }
+      any = true;
+      weight += item.weight;
+    }
+    slack += any && weight <= cap ? 1 : 0;
+  }
+  return slack;
+}
+
+TEST(TakeAllFastPath, SlackSlotsCountedOnSlackAndBindingInstances) {
+  Rng rng(9001);
+  SchedWorkspace ws;
+  SolverOptions options;  // kFptas
+  obs::Counter& counter =
+      obs::Registry::global().counter("sched.solver.slack_slots");
+  bool saw_slack = false, saw_binding = false;
+  for (int run = 0; run < 200; ++run) {
+    const int n_slots = static_cast<int>(rng.uniform_int(2, 6));
+    const int n_items = static_cast<int>(rng.uniform_int(1, 30));
+    // Alternate roomy slots (all slack) with tight ones (mostly binding).
+    const std::int64_t max_cap = run % 2 == 0 ? 100'000 : 150;
+    OverlapInstance inst = random_instance(rng, n_items, n_slots, max_cap);
+    if (run % 2 == 0) {
+      for (OverlapSlot& slot : inst.slots) slot.capacity += 50'000;
+    }
+    const std::size_t want = count_slack_slots(inst);
+    const std::uint64_t before = counter.value();
+    SolveStats stats;
+    (void)solve_overlapped(inst.slots, inst.items, options, ws, &stats);
+    EXPECT_EQ(stats.slack_slots, want) << "run=" << run;
+    EXPECT_EQ(counter.value() - before, want);
+    if (want == inst.slots.size()) {
+      saw_slack = true;
+      EXPECT_EQ(stats.dp_cells, 0u);
+    }
+    if (want < inst.slots.size()) saw_binding = true;
+  }
+  EXPECT_TRUE(saw_slack);
+  EXPECT_TRUE(saw_binding);
+}
+
+TEST(TakeAllFastPath, OnlyTheFptasKernelTakesIt) {
+  // The exact DP keeps its table on slack slots; the greedy has none.
+  const std::vector<OverlapSlot> slots = {{0, 1'000}};
+  std::vector<OverlapItem> items;
+  for (int i = 0; i < 10; ++i) items.push_back({i, 10, 1.0 + i, 0, -1});
+  SchedWorkspace ws;
+  for (const SolverChoice backend :
+       {SolverChoice::kExact, SolverChoice::kGreedy}) {
+    SolverOptions options;
+    options.choice = backend;
+    SolveStats stats;
+    (void)solve_overlapped(slots, items, options, ws, &stats);
+    EXPECT_EQ(stats.slack_slots, 0u) << to_string(backend);
+  }
 }
 
 }  // namespace
