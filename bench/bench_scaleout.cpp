@@ -276,7 +276,9 @@ void print_memory_figure() {
     const std::size_t total_events = events * suite.size();
     const double ns_per_event =
         total_events > 0 ? replay_ms * 1e6 / total_events : 0.0;
-    const std::string tag = "_" + std::to_string(n) + "_users";
+    std::string tag = "_";
+    tag += std::to_string(n);
+    tag += "_users";
     bench::record_scalar("mem_users_per_gb_before" + tag, per_gb_before);
     bench::record_scalar("mem_users_per_gb_after" + tag, per_gb_after);
     bench::record_scalar("mem_footprint_gain" + tag, gain);

@@ -2,11 +2,39 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 
 namespace netmaster::engine {
+
+namespace {
+
+/// Clamps each item's window to [0, horizon) and collects the windows
+/// into one canonical set. Windows arriving in time order take
+/// IntervalSet::add's O(1) append path, so the batch builds in linear
+/// time instead of inserting into the middle of the timeline.
+template <typename Items, typename WindowOf>
+IntervalSet clamped_batch(const Items& items, TimeMs horizon,
+                          WindowOf window_of) {
+  IntervalSet batch;
+  for (const auto& item : items) {
+    const Interval w = window_of(item);
+    batch.add(std::max<TimeMs>(w.begin, 0), std::min(w.end, horizon));
+  }
+  return batch;
+}
+
+/// mW * ms -> joules. Same expression as power/radio_model.cpp so the
+/// final doubles are bit-identical.
+constexpr double energy_joules(double mw, DurationMs ms) {
+  return mw * static_cast<double>(ms) * 1e-6;
+}
+
+constexpr TimeMs kFar = std::numeric_limits<TimeMs>::max() / 4;
+
+}  // namespace
 
 RadioTimeline::RadioTimeline(TimeMs horizon) : horizon_(horizon) {
   NM_REQUIRE(horizon >= 0, "timeline horizon must be non-negative");
@@ -18,37 +46,38 @@ void RadioTimeline::allow(TimeMs begin, TimeMs end) {
   if (begin < end) allowed_.add(begin, end);
 }
 
+void RadioTimeline::merge(IntervalSet batch) {
+  if (allowed_.empty()) {
+    allowed_ = std::move(batch);
+  } else {
+    allowed_.add(batch);
+  }
+}
+
 void RadioTimeline::allow(const IntervalSet& set) {
-  for (const Interval& iv : set.intervals()) allow(iv.begin, iv.end);
+  allow_windows(set.intervals());
 }
 
 void RadioTimeline::allow_windows(const std::vector<Interval>& windows) {
-  for (const Interval& w : windows) allow(w.begin, w.end);
+  merge(clamped_batch(windows, horizon_,
+                      [](const Interval& w) { return w; }));
 }
 
 void RadioTimeline::allow_transfers(
     const std::vector<sim::ExecutedTransfer>& transfers, DurationMs grace) {
-  for (const sim::ExecutedTransfer& t : transfers) {
-    if (t.radio != RadioId::kCellular) continue;
-    allow(t.start, t.start + t.duration + grace);
-  }
+  merge(clamped_batch(
+      transfers, horizon_, [grace](const sim::ExecutedTransfer& t) {
+        // A non-cellular transfer maps to an empty window: skipped.
+        if (t.radio != RadioId::kCellular) return Interval{};
+        return Interval{t.start, t.start + t.duration + grace};
+      }));
 }
 
 void RadioTimeline::allow_wakes(const std::vector<duty::WakeEvent>& wakes) {
-  for (const duty::WakeEvent& w : wakes) allow(w.time, w.time + w.window);
+  merge(clamped_batch(wakes, horizon_, [](const duty::WakeEvent& w) {
+    return Interval{w.time, w.time + w.window};
+  }));
 }
-
-namespace {
-
-/// mW * ms -> joules. Same expression as power/radio_model.cpp so the
-/// final doubles are bit-identical.
-constexpr double energy_joules(double mw, DurationMs ms) {
-  return mw * static_cast<double>(ms) * 1e-6;
-}
-
-constexpr TimeMs kFar = std::numeric_limits<TimeMs>::max() / 4;
-
-}  // namespace
 
 RadioAccounting account_columns(std::span<const TimeMs> begins,
                                 std::span<const TimeMs> ends,

@@ -52,27 +52,42 @@ class RadioTimeline {
   IntervalSet build() && { return std::move(allowed_); }
 
  private:
+  /// Unions a canonical batch of clamped windows into the timeline with
+  /// one linear merge (or takes it whole when the timeline is empty).
+  void merge(IntervalSet batch);
+
   TimeMs horizon_;
   IntervalSet allowed_;
 };
 
-/// Vectorized RRC state-residency accounting over SoA time columns —
-/// the replay-hot-path form of power/radio_model.cpp's
-/// account_transfers, generalized over the N-tier tail chain.
+/// RRC state-residency accounting over SoA time columns: integrates
+/// the power model over the canonical transfer set, clipping the
+/// trailing tail at `horizon_end` (end of the accounting window).
+/// Transfers starting during a promotion or while the connected state
+/// is active continue the connected period without a new promotion; the
+/// model shifts each transfer's completion by its promotion delay, as
+/// real radios do. A cold attach additionally pays the association cost
+/// before the promotion when the model has one.
+///
+/// When `radio_allowed` is non-null it models a policy-controlled data
+/// switch (NetMaster's `svc data disable`): inactivity tails survive
+/// only while inside the allowed set and are cut — radio straight to
+/// IDLE — at its boundaries. Every transfer must lie inside the allowed
+/// set; a transfer arriving after a cut always pays a cold promotion.
+/// Null means the stock radio: tails always run to completion.
+///
 /// `begins`/`ends` are the canonical transfer columns (sorted,
 /// disjoint, non-empty, equal length — exactly the layout of
 /// mem::SessionColumns and of an IntervalSet's split fields). The
 /// kernel makes a single branch-minimized pass: tail spans drain
 /// through the tier chain with max/min clamps, promotion classes are
-/// boolean-arithmetic selectors over the tier boundaries instead of
-/// the reference implementation's branchy tier search, and the
-/// allowed-set lookups are two monotone merge cursors instead of
-/// per-transfer binary searches (O(n + m) total). Energy is derived
-/// once at the end from the integer millisecond totals, so results are
-/// bit-for-bit identical to account_transfers on every input — a
-/// property the differential tests in radio_timeline_test fuzz over
-/// random 1–4-tier models. Takes any RadioModel (RadioPowerParams
-/// converts implicitly).
+/// boolean-arithmetic selectors over the tier boundaries instead of a
+/// branchy tier search, and the allowed-set lookups are two monotone
+/// merge cursors instead of per-transfer binary searches (O(n + m)
+/// total). Energy is derived once at the end from the integer
+/// millisecond totals. radio_timeline_test fuzzes it bit for bit
+/// against a branchy per-transfer reference over random 1–4-tier
+/// models. Takes any RadioModel (RadioPowerParams converts implicitly).
 RadioAccounting account_columns(std::span<const TimeMs> begins,
                                 std::span<const TimeMs> ends,
                                 const RadioModel& model,
@@ -81,8 +96,7 @@ RadioAccounting account_columns(std::span<const TimeMs> begins,
 
 /// account_columns over a canonical IntervalSet: splits the AoS
 /// intervals into thread-local scratch columns (no steady-state
-/// allocation) and runs the vectorized kernel. Drop-in replacement for
-/// account_transfers on the accounting hot path.
+/// allocation) and runs the vectorized kernel.
 RadioAccounting account_interval_set(
     const IntervalSet& transfers, const RadioModel& model,
     TimeMs horizon_end, const IntervalSet* radio_allowed = nullptr);

@@ -1,15 +1,19 @@
 // Tests for the RRC radio power model — hand-computed trajectories plus
-// monotonicity / aggregation properties.
+// monotonicity / aggregation properties, run through the production
+// accounting kernel (engine::account_interval_set).
 #include <gtest/gtest.h>
 
 #include <limits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "engine/radio_timeline.hpp"
 #include "power/radio_model.hpp"
 
 namespace netmaster {
 namespace {
+
+using engine::account_interval_set;
 
 constexpr TimeMs kHorizon = 10 * kMsPerMinute;
 
@@ -32,7 +36,7 @@ TEST(RadioModel, SingleIsolatedTransfer) {
   const RadioPowerParams p = wcdma();
   IntervalSet transfers;
   transfers.add(10'000, 14'000);  // 4 s transfer
-  const RadioAccounting acc = account_transfers(transfers, p, kHorizon);
+  const RadioAccounting acc = account_interval_set(transfers, p, kHorizon);
   EXPECT_EQ(acc.promotions, 1);
   EXPECT_EQ(acc.promo_ms, p.promo_idle_ms);
   EXPECT_EQ(acc.active_ms, 4000);
@@ -55,7 +59,7 @@ TEST(RadioModel, TailClippedAtHorizon) {
   // Connected (incl. the 2 s promotion shift) until horizon − 2 s, so
   // only 2 s of DCH tail fit before the accounting window closes.
   transfers.add(kHorizon - 6000, kHorizon - 4000);
-  const RadioAccounting acc = account_transfers(transfers, p, kHorizon);
+  const RadioAccounting acc = account_interval_set(transfers, p, kHorizon);
   EXPECT_EQ(acc.tail_dch_ms(), 2000);
   EXPECT_EQ(acc.tail_fach_ms(), 0);
 }
@@ -67,7 +71,7 @@ TEST(RadioModel, SecondTransferInDchTailNoPromotion) {
   // Connected until 12'000 + promo shift 2'000 = 14'000; arrive 2 s
   // later, inside the 5 s DCH tail.
   transfers.add(16'000, 18'000);
-  const RadioAccounting acc = account_transfers(transfers, p, kHorizon);
+  const RadioAccounting acc = account_interval_set(transfers, p, kHorizon);
   EXPECT_EQ(acc.promotions, 1);
   EXPECT_EQ(acc.tail_dch_ms(), 2000 + p.dch_tail_ms);  // inter + trailing
 }
@@ -77,7 +81,7 @@ TEST(RadioModel, SecondTransferInFachTailFachPromotion) {
   IntervalSet transfers;
   transfers.add(10'000, 12'000);  // connected until 14'000
   transfers.add(22'000, 24'000);  // 8 s gap: past DCH tail (5 s), in FACH
-  const RadioAccounting acc = account_transfers(transfers, p, kHorizon);
+  const RadioAccounting acc = account_interval_set(transfers, p, kHorizon);
   EXPECT_EQ(acc.promotions, 2);
   EXPECT_EQ(acc.promo_ms, p.promo_idle_ms + p.promo_fach_ms);
   // Inter-transfer tails: full DCH tail + 3 s FACH.
@@ -90,7 +94,7 @@ TEST(RadioModel, FarApartTransfersTwoColdPromotions) {
   IntervalSet transfers;
   transfers.add(10'000, 12'000);
   transfers.add(100'000, 102'000);
-  const RadioAccounting acc = account_transfers(transfers, p, kHorizon);
+  const RadioAccounting acc = account_interval_set(transfers, p, kHorizon);
   EXPECT_EQ(acc.promotions, 2);
   EXPECT_EQ(acc.promo_ms, 2 * p.promo_idle_ms);
   EXPECT_EQ(acc.tail_dch_ms(), 2 * p.dch_tail_ms);
@@ -104,14 +108,14 @@ TEST(RadioModel, OverlappingBusyExtends) {
   IntervalSet transfers;
   transfers.add(10'000, 12'000);
   transfers.add(13'000, 15'000);  // 13'000 < connected_until (14'000)
-  const RadioAccounting acc = account_transfers(transfers, p, kHorizon);
+  const RadioAccounting acc = account_interval_set(transfers, p, kHorizon);
   EXPECT_EQ(acc.promotions, 1);
   EXPECT_EQ(acc.active_ms, 4000);
 }
 
 TEST(RadioModel, EmptyTransferSet) {
   const RadioAccounting acc =
-      account_transfers(IntervalSet{}, wcdma(), kHorizon);
+      account_interval_set(IntervalSet{}, wcdma(), kHorizon);
   EXPECT_EQ(acc.energy_j, 0.0);
   EXPECT_EQ(acc.radio_on_ms, 0);
   EXPECT_EQ(acc.promotions, 0);
@@ -120,7 +124,7 @@ TEST(RadioModel, EmptyTransferSet) {
 TEST(RadioModel, TransferBeyondHorizonThrows) {
   IntervalSet transfers;
   transfers.add(kHorizon - 10, kHorizon + 10);
-  EXPECT_THROW(account_transfers(transfers, wcdma(), kHorizon), Error);
+  EXPECT_THROW(account_interval_set(transfers, wcdma(), kHorizon), Error);
 }
 
 TEST(RadioModel, AllowedSetCutsTail) {
@@ -132,7 +136,7 @@ TEST(RadioModel, AllowedSetCutsTail) {
   IntervalSet allowed;
   allowed.add(10'000, 19'000);
   const RadioAccounting acc =
-      account_transfers(transfers, p, kHorizon, &allowed);
+      account_interval_set(transfers, p, kHorizon, &allowed);
   EXPECT_EQ(acc.tail_dch_ms(), 3000);
   EXPECT_EQ(acc.tail_fach_ms(), 0);
 }
@@ -146,7 +150,7 @@ TEST(RadioModel, AllowedSetForcesColdPromotionAfterCut) {
   allowed.add(10'000, 14'000);  // ...but the switch cut at 14'000
   allowed.add(16'000, 18'000);
   const RadioAccounting acc =
-      account_transfers(transfers, p, kHorizon, &allowed);
+      account_interval_set(transfers, p, kHorizon, &allowed);
   EXPECT_EQ(acc.promotions, 2);
   EXPECT_EQ(acc.promo_ms, 2 * p.promo_idle_ms);
   EXPECT_EQ(acc.tail_dch_ms(), 0);
@@ -159,7 +163,7 @@ TEST(RadioModel, TransferOutsideAllowedSetThrows) {
   IntervalSet allowed;
   allowed.add(50'000, 60'000);
   EXPECT_THROW(
-      account_transfers(transfers, wcdma(), kHorizon, &allowed), Error);
+      account_interval_set(transfers, wcdma(), kHorizon, &allowed), Error);
 }
 
 TEST(RadioModel, PiggybackedCheaperThanIsolated) {
@@ -179,7 +183,7 @@ TEST(RadioModel, LteProfileShape) {
   EXPECT_GT(lte.dch_mw, wcdma().dch_mw);
   IntervalSet transfers;
   transfers.add(10'000, 14'000);
-  const RadioAccounting acc = account_transfers(transfers, lte, kHorizon);
+  const RadioAccounting acc = account_interval_set(transfers, lte, kHorizon);
   EXPECT_GT(acc.energy_j, 0.0);
 }
 
@@ -202,8 +206,8 @@ TEST_P(RadioModelProperty, MoreTrafficNeverCheaper) {
   IntervalSet more = base;
   more.add(random_transfers(rng, 3));
   const RadioPowerParams p = wcdma();
-  const double e_base = account_transfers(base, p, kHorizon).energy_j;
-  const double e_more = account_transfers(more, p, kHorizon).energy_j;
+  const double e_base = account_interval_set(base, p, kHorizon).energy_j;
+  const double e_more = account_interval_set(more, p, kHorizon).energy_j;
   EXPECT_GE(e_more, e_base - 1e-9);
 }
 
@@ -220,8 +224,8 @@ TEST_P(RadioModelProperty, MergingTransfersNeverCostsMore) {
     merged.add(60'000 + i * dur, 60'000 + (i + 1) * dur);
   }
   const RadioPowerParams p = wcdma();
-  EXPECT_LE(account_transfers(merged, p, kHorizon).energy_j,
-            account_transfers(spread, p, kHorizon).energy_j + 1e-9);
+  EXPECT_LE(account_interval_set(merged, p, kHorizon).energy_j,
+            account_interval_set(spread, p, kHorizon).energy_j + 1e-9);
 }
 
 TEST_P(RadioModelProperty, AllowedSetNeverIncreasesEnergy) {
@@ -230,9 +234,9 @@ TEST_P(RadioModelProperty, AllowedSetNeverIncreasesEnergy) {
   IntervalSet allowed = transfers;  // exact cut after every transfer
   const RadioPowerParams p = wcdma();
   const double unrestricted =
-      account_transfers(transfers, p, kHorizon).energy_j;
+      account_interval_set(transfers, p, kHorizon).energy_j;
   const double cut =
-      account_transfers(transfers, p, kHorizon, &allowed).energy_j;
+      account_interval_set(transfers, p, kHorizon, &allowed).energy_j;
   EXPECT_LE(cut, unrestricted + 1e-9);
 }
 
@@ -240,7 +244,7 @@ TEST_P(RadioModelProperty, EnergyMatchesTimeBreakdown) {
   Rng rng(GetParam());
   const IntervalSet transfers = random_transfers(rng, 6);
   const RadioPowerParams p = wcdma();
-  const RadioAccounting acc = account_transfers(transfers, p, kHorizon);
+  const RadioAccounting acc = account_interval_set(transfers, p, kHorizon);
   const double expected =
       joules(p.dch_mw, acc.active_ms + acc.tail_dch_ms()) +
       joules(p.fach_mw, acc.tail_fach_ms()) +
@@ -328,8 +332,8 @@ TEST(RadioModelGeneralized, TwoTailProfileBitIdenticalToLegacyFormula) {
       const TimeMs start = rng.uniform_int(0, kHorizon - 20'000);
       transfers.add(start, start + rng.uniform_int(500, 15'000));
     }
-    const RadioAccounting a = account_transfers(transfers, p, kHorizon);
-    const RadioAccounting b = account_transfers(transfers, m, kHorizon);
+    const RadioAccounting a = account_interval_set(transfers, p, kHorizon);
+    const RadioAccounting b = account_interval_set(transfers, m, kHorizon);
     EXPECT_EQ(a.energy_j, b.energy_j);
     EXPECT_EQ(a.radio_on_ms, b.radio_on_ms);
     EXPECT_EQ(a.assoc_ms, 0);
@@ -343,7 +347,7 @@ TEST(RadioModelGeneralized, WifiColdAttachPaysAssociation) {
   const RadioModel w = RadioModel::wifi();
   IntervalSet transfers;
   transfers.add(10'000, 14'000);
-  const RadioAccounting acc = account_transfers(transfers, w, kHorizon);
+  const RadioAccounting acc = account_interval_set(transfers, w, kHorizon);
   EXPECT_EQ(acc.associations, 1);
   EXPECT_EQ(acc.assoc_ms, w.assoc_ms);
   EXPECT_EQ(acc.promotions, 1);
@@ -368,11 +372,11 @@ TEST(RadioModelGeneralized, WifiWarmReuseSkipsAssociation) {
   // connected until 12'000 + assoc 2'500 + promo 80 = 14'580; arrive
   // 100 ms into the 200 ms PSM tail: no second association.
   transfers.add(14'680, 15'680);
-  RadioAccounting acc = account_transfers(transfers, w, kHorizon);
+  RadioAccounting acc = account_interval_set(transfers, w, kHorizon);
   EXPECT_EQ(acc.associations, 1);
   // Far apart: past the PSM tail, a second cold attach.
   transfers.add(200'000, 201'000);
-  acc = account_transfers(transfers, w, kHorizon);
+  acc = account_interval_set(transfers, w, kHorizon);
   EXPECT_EQ(acc.associations, 2);
   EXPECT_EQ(acc.assoc_ms, 2 * w.assoc_ms);
 }
@@ -389,7 +393,7 @@ TEST(RadioModelGeneralized, NrTierPromotionsFollowTheChain) {
   transfers.add(13'170, 14'170);  // tier 1: promo 5, connected 14'175
   // gap 5'000 lands in tier 2 (2'100..10'100).
   transfers.add(19'175, 20'175);  // tier 2: promo 25
-  const RadioAccounting acc = account_transfers(transfers, nr, kHorizon);
+  const RadioAccounting acc = account_interval_set(transfers, nr, kHorizon);
   EXPECT_EQ(acc.promo_ms, nr.promo_idle_ms + 0 + nr.tails[1].promo_ms +
                               nr.tails[2].promo_ms);
   // Tier-0 re-entry is free (promo 0), so only three *paid* promotions.

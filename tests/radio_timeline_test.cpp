@@ -3,6 +3,8 @@
 // builders matching the hand-assembled IntervalSets they replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <random>
 #include <string>
 #include <utility>
@@ -10,6 +12,7 @@
 
 #include "common/error.hpp"
 #include "engine/radio_timeline.hpp"
+#include "reference_accounting.hpp"
 
 namespace netmaster::engine {
 namespace {
@@ -40,6 +43,98 @@ TEST(RadioTimeline, UnionIsCanonicalRegardlessOfOrder) {
   // Touching/overlapping windows merge into one canonical interval.
   ASSERT_EQ(forward.allowed().intervals().size(), 1u);
   EXPECT_EQ(forward.allowed().intervals()[0], (Interval{50, 400}));
+}
+
+TEST(RadioTimeline, UnionIsCanonicalUnderPermutedCallOrder) {
+  // Every allow* entry point, fed random (unsorted, overlapping,
+  // out-of-horizon, empty) windows, applied in random call orders: the
+  // built set must not depend on the order, and must equal the set a
+  // per-window IntervalSet::add of the clamped windows builds.
+  std::mt19937_64 rng(20261018);
+  const auto window = [&rng](TimeMs horizon) {
+    const TimeMs b = static_cast<TimeMs>(rng() % (horizon + 2000)) - 1000;
+    const DurationMs len = static_cast<DurationMs>(rng() % 3000) - 200;
+    return Interval{b, b + len};
+  };
+  for (int iter = 0; iter < 200; ++iter) {
+    const TimeMs horizon = 1000 + static_cast<TimeMs>(rng() % 50000);
+    std::vector<std::function<void(RadioTimeline&)>> calls;
+    IntervalSet want;
+    const auto expect_window = [&](TimeMs b, TimeMs e) {
+      want.add(std::max<TimeMs>(b, 0), std::min(e, horizon));
+    };
+    const int num_calls = 1 + static_cast<int>(rng() % 8);
+    for (int c = 0; c < num_calls; ++c) {
+      const int count = static_cast<int>(rng() % 30);
+      switch (rng() % 5) {
+        case 0: {
+          const Interval w = window(horizon);
+          expect_window(w.begin, w.end);
+          calls.push_back([w](RadioTimeline& tl) { tl.allow(w); });
+          break;
+        }
+        case 1: {
+          IntervalSet set;
+          for (int k = 0; k < count; ++k) set.add(window(horizon));
+          for (const Interval& iv : set.intervals()) {
+            expect_window(iv.begin, iv.end);
+          }
+          calls.push_back([set](RadioTimeline& tl) { tl.allow(set); });
+          break;
+        }
+        case 2: {
+          std::vector<Interval> windows;
+          for (int k = 0; k < count; ++k) windows.push_back(window(horizon));
+          if (rng() % 2 == 0) {
+            std::sort(windows.begin(), windows.end(),
+                      [](const Interval& a, const Interval& b) {
+                        return a.begin < b.begin;
+                      });
+          }
+          for (const Interval& w : windows) expect_window(w.begin, w.end);
+          calls.push_back(
+              [windows](RadioTimeline& tl) { tl.allow_windows(windows); });
+          break;
+        }
+        case 3: {
+          const DurationMs grace = static_cast<DurationMs>(rng() % 500);
+          std::vector<sim::ExecutedTransfer> transfers;
+          for (int k = 0; k < count; ++k) {
+            const Interval w = window(horizon);
+            sim::ExecutedTransfer tr{static_cast<std::size_t>(k), w.begin,
+                                     w.length()};
+            if (rng() % 4 == 0) tr.radio = RadioId::kWifi;
+            if (tr.radio == RadioId::kCellular) {
+              expect_window(tr.start, tr.start + tr.duration + grace);
+            }
+            transfers.push_back(tr);
+          }
+          calls.push_back([transfers, grace](RadioTimeline& tl) {
+            tl.allow_transfers(transfers, grace);
+          });
+          break;
+        }
+        default: {
+          std::vector<duty::WakeEvent> wakes;
+          for (int k = 0; k < count; ++k) {
+            const Interval w = window(horizon);
+            wakes.push_back({w.begin, w.length(), false});
+            expect_window(w.begin, w.end);
+          }
+          calls.push_back(
+              [wakes](RadioTimeline& tl) { tl.allow_wakes(wakes); });
+          break;
+        }
+      }
+    }
+    for (int perm = 0; perm < 4; ++perm) {
+      std::shuffle(calls.begin(), calls.end(), rng);
+      RadioTimeline timeline(horizon);
+      for (const auto& call : calls) call(timeline);
+      EXPECT_EQ(timeline.allowed().intervals(), want.intervals())
+          << "iter " << iter << " perm " << perm;
+    }
+  }
 }
 
 TEST(RadioTimeline, TransfersExtendByGrace) {
@@ -101,7 +196,7 @@ TEST(RadioTimeline, RejectsNegativeHorizon) {
 // ---------------------------------------------------------------------------
 // Differential tests: the vectorized SoA accounting kernel
 // (account_columns / account_interval_set) against the reference
-// branchy implementation (power/radio_model.cpp account_transfers).
+// branchy implementation (tests/reference_accounting.hpp).
 // The contract is bit-for-bit equality — every integer field AND the
 // energy double — on every input.
 
@@ -129,7 +224,7 @@ void expect_matches_reference(const IntervalSet& transfers,
                               const IntervalSet* allowed,
                               const std::string& context) {
   const RadioAccounting want =
-      account_transfers(transfers, model, horizon, allowed);
+      reference::account_transfers(transfers, model, horizon, allowed);
   const RadioAccounting got =
       account_interval_set(transfers, model, horizon, allowed);
   expect_accounting_equal(got, want, context);
@@ -283,7 +378,8 @@ TEST(AccountColumns, ZeroLengthTailTiersDegenerate) {
   transfers.add(1500, 2500);   // past the (empty) tails: cold again
   transfers.add(2500, 3000);   // merged with the previous transfer
   expect_matches_reference(transfers, m, 100000, nullptr, "zero-tails");
-  const RadioAccounting acc = account_transfers(transfers, m, 100000);
+  const RadioAccounting acc =
+      reference::account_transfers(transfers, m, 100000);
   EXPECT_EQ(acc.tail_dch_ms(), 0);
   EXPECT_EQ(acc.promotions, 2);
 
@@ -340,7 +436,7 @@ TEST(AccountColumns, RejectsInvalidInputLikeReference) {
     IntervalSet past;  // extends beyond the horizon
     past.add(500, 2000);
     EXPECT_THROW(account_interval_set(past, params, 1000), Error);
-    EXPECT_THROW(account_transfers(past, params, 1000), Error);
+    EXPECT_THROW(reference::account_transfers(past, params, 1000), Error);
   }
   {
     IntervalSet transfers;  // outside the allowed set
@@ -350,8 +446,9 @@ TEST(AccountColumns, RejectsInvalidInputLikeReference) {
     allowed.add(100, 200);
     EXPECT_THROW(account_interval_set(transfers, params, 10000, &allowed),
                  Error);
-    EXPECT_THROW(account_transfers(transfers, params, 10000, &allowed),
-                 Error);
+    EXPECT_THROW(
+        reference::account_transfers(transfers, params, 10000, &allowed),
+        Error);
   }
   {
     // Mismatched column lengths (the span entry point only).
