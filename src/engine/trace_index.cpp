@@ -1,12 +1,57 @@
 #include "engine/trace_index.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
 #include "obs/span.hpp"
 
 namespace netmaster::engine {
+
+namespace {
+
+/// UserTrace::screen_on_at over a stream of instants. The binary search
+/// finds the first session with end > t; while the ends are sorted and
+/// t does not move backwards, that session only moves forward, so a
+/// cursor finds it in amortized O(1). A backwards t restarts the cursor
+/// with the binary search. Unsorted ends (a trace validate() rejects)
+/// take the binary search on every query, so every input gets the
+/// binary search's answer.
+class ScreenCursor {
+ public:
+  explicit ScreenCursor(std::span<const ScreenSession> sessions)
+      : sessions_(sessions),
+        ends_sorted_(std::is_sorted(
+            sessions.begin(), sessions.end(),
+            [](const ScreenSession& a, const ScreenSession& b) {
+              return a.end < b.end;
+            })) {}
+
+  bool on_at(TimeMs t) {
+    if (!ends_sorted_ || t < last_) {
+      next_ = static_cast<std::size_t>(
+          std::lower_bound(sessions_.begin(), sessions_.end(), t,
+                           [](const ScreenSession& s, TimeMs v) {
+                             return s.end <= v;
+                           }) -
+          sessions_.begin());
+    } else {
+      while (next_ < sessions_.size() && sessions_[next_].end <= t) ++next_;
+    }
+    last_ = t;
+    return next_ < sessions_.size() && sessions_[next_].begin <= t &&
+           t < sessions_[next_].end;
+  }
+
+ private:
+  std::span<const ScreenSession> sessions_;
+  bool ends_sorted_;
+  std::size_t next_ = 0;  ///< first session with end > last_
+  TimeMs last_ = std::numeric_limits<TimeMs>::min();
+};
+
+}  // namespace
 
 TraceIndex::TraceIndex(const UserTrace& trace)
     : trace_(&trace),
@@ -44,37 +89,45 @@ void TraceIndex::build(const UserTrace& trace, mem::Arena& arena) {
   }
   deferrable_ = arena.copy_array<std::uint32_t>(deferrable);
 
-  // Per-(day, hour) buckets. Events outside [0, horizon) are skipped so
-  // the index stays total on malformed traces (validate() still rejects
-  // them where strictness matters).
-  const int days = std::max(columns_.num_days, 0);
-  std::span<HourBucket> buckets =
-      arena.alloc_zeroed<HourBucket>(static_cast<std::size_t>(days) *
-                                     kHoursPerDay);
+  // Per-(day, hour) buckets, folded from the AoS trace (the columns
+  // are exact copies of it).
+  const std::span<HourBucket> buckets = arena.alloc_zeroed<HourBucket>(
+      static_cast<std::size_t>(std::max(columns_.num_days, 0)) *
+      kHoursPerDay);
+  fold_hour_buckets(trace, buckets);
   buckets_ = buckets;
-  const std::size_t num_apps = columns_.app_names.size();
+}
+
+void TraceIndex::fold_hour_buckets(const UserTrace& trace,
+                                   std::span<HourBucket> buckets) {
+  NM_REQUIRE(buckets.size() ==
+                 static_cast<std::size_t>(std::max(trace.num_days, 0)) *
+                     kHoursPerDay,
+             "bucket span must hold num_days * kHoursPerDay buckets");
+  // Events outside [0, horizon) are skipped so the fold stays total on
+  // malformed traces (validate() still rejects them where strictness
+  // matters).
+  const TimeMs horizon = trace.trace_end();
+  const std::size_t num_apps = trace.app_names.size();
   std::vector<bool> app_seen(buckets.size() * num_apps, false);
-  const mem::UsageColumns& usages = columns_.usages;
-  for (std::size_t i = 0; i < usages.size(); ++i) {
-    const TimeMs t = usages.time_at(i);
-    if (t < 0 || t >= horizon_) continue;
-    ++buckets[static_cast<std::size_t>(day_of(t)) * kHoursPerDay +
-              static_cast<std::size_t>(hour_of(t))]
+  for (const AppUsage& u : trace.usages) {
+    if (u.time < 0 || u.time >= horizon) continue;
+    ++buckets[static_cast<std::size_t>(day_of(u.time)) * kHoursPerDay +
+              static_cast<std::size_t>(hour_of(u.time))]
           .usage_count;
   }
-  for (std::size_t i = 0; i < acts.size(); ++i) {
-    const TimeMs start = acts.start_at(i);
-    if (start < 0 || start >= horizon_) continue;
-    if (columns_screen_on_at(start)) continue;  // screen-off only (Eq. 3)
+  ScreenCursor screen(trace.sessions);
+  for (const NetworkActivity& a : trace.activities) {
+    if (a.start < 0 || a.start >= horizon) continue;
+    if (screen.on_at(a.start)) continue;  // screen-off only (Eq. 3)
     const std::size_t b =
-        static_cast<std::size_t>(day_of(start)) * kHoursPerDay +
-        static_cast<std::size_t>(hour_of(start));
+        static_cast<std::size_t>(day_of(a.start)) * kHoursPerDay +
+        static_cast<std::size_t>(hour_of(a.start));
     HourBucket& bucket = buckets[b];
     ++bucket.net_count;
-    bucket.net_bytes += static_cast<double>(acts.total_bytes_at(i));
-    const AppId app = acts.app_at(i);
-    if (app >= 0 && static_cast<std::size_t>(app) < num_apps) {
-      const std::size_t bit = b * num_apps + static_cast<std::size_t>(app);
+    bucket.net_bytes += static_cast<double>(a.total_bytes());
+    if (a.app >= 0 && static_cast<std::size_t>(a.app) < num_apps) {
+      const std::size_t bit = b * num_apps + static_cast<std::size_t>(a.app);
       if (!app_seen[bit]) {
         app_seen[bit] = true;
         ++bucket.distinct_net_apps;

@@ -120,6 +120,19 @@ class TraceIndex {
 
   const HourBucket& bucket(int day, int hour) const;
 
+  /// All buckets, day-major: bucket(d, h) is buckets()[d * kHoursPerDay
+  /// + h]; num_days() * kHoursPerDay entries.
+  std::span<const HourBucket> buckets() const { return buckets_; }
+
+  /// Folds `trace`'s usages and screen-off activities into `buckets`
+  /// (zeroed, max(trace.num_days, 0) * kHoursPerDay entries, day-major)
+  /// — the bucket pass of the constructor, callable without building an
+  /// index. Total like the index: events outside [0, trace_end()) and
+  /// bad app ids are skipped, and the screen-on test gives the answer
+  /// of UserTrace::screen_on_at on every input.
+  static void fold_hour_buckets(const UserTrace& trace,
+                                std::span<HourBucket> buckets);
+
   /// Bytes of arena memory backing this index's columns (0 when the
   /// caller supplied the arena — the owner accounts for it there).
   std::size_t owned_arena_bytes() const {

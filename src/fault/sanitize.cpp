@@ -1,6 +1,8 @@
 #include "fault/sanitize.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -8,6 +10,8 @@
 namespace netmaster::fault {
 
 namespace {
+
+constexpr std::int64_t kMaxBytes = std::numeric_limits<std::int64_t>::max();
 
 bool valid_app(AppId app, std::size_t num_apps) {
   return app >= 0 && static_cast<std::size_t>(app) < num_apps;
@@ -59,7 +63,8 @@ SanitizeResult sanitize_trace(const UserTrace& raw) {
 
   // ---- Network activities: drop unknown apps and out-of-horizon
   // starts; clamp negative byte deltas (counter resets) to zero,
-  // negative durations to zero, and clip transfers at the horizon. ----
+  // negative durations to zero, byte totals to int64, and clip
+  // transfers at the horizon. ----
   t.activities.reserve(raw.activities.size());
   for (NetworkActivity a : raw.activities) {
     if (!valid_app(a.app, num_apps) || a.start < 0 || a.start >= end) {
@@ -71,7 +76,7 @@ SanitizeResult sanitize_trace(const UserTrace& raw) {
       a.duration = 0;
       clamped = true;
     }
-    if (a.start + a.duration > end) {
+    if (a.duration > end - a.start) {
       a.duration = end - a.start;
       clamped = true;
     }
@@ -81,6 +86,10 @@ SanitizeResult sanitize_trace(const UserTrace& raw) {
     }
     if (a.bytes_up < 0) {
       a.bytes_up = 0;
+      clamped = true;
+    }
+    if (a.bytes_up > kMaxBytes - a.bytes_down) {  // total must fit
+      a.bytes_up = kMaxBytes - a.bytes_down;
       clamped = true;
     }
     if (clamped) ++rep.clamped_events;

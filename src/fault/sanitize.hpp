@@ -7,9 +7,12 @@
 // repair made. Unrecoverable records (unknown app ids, timestamps
 // outside the horizon) are dropped; recoverable ones are clamped
 // (negative durations/bytes to zero, transfers clipped at the
-// horizon); out-of-order streams are re-sorted; overlapping screen
-// sessions are merged. A valid trace passes through bit-identically,
-// so the clean path pays nothing but the copy.
+// horizon, byte totals cut to fit int64); out-of-order streams are
+// re-sorted; overlapping screen sessions are merged. A valid trace
+// passes through bit-identically, but still as a full copy: validate()
+// accepts a trace exactly when sanitize_trace would repair nothing, so
+// a caller that can read its input in place (HabitModel::mine) checks
+// validate() first and sanitizes only the traces it rejects.
 //
 // The report's `quality()` score feeds the mining layer's confidence
 // model: heavily-repaired history lowers model confidence, which in

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "fault/sanitize.hpp"
@@ -16,10 +17,19 @@ double slot_confidence(double k, double p) {
 }
 
 HabitModel HabitModel::mine(const UserTrace& history) {
-  const fault::SanitizeResult repaired = fault::sanitize_trace(history);
-  HabitModel model = mine(engine::TraceIndex(repaired.trace));
-  model.data_quality_ = repaired.report.quality();
-  return model;
+  // A valid trace is exactly one sanitize_trace would return unrepaired
+  // (validate() passes <=> the repair report is clean), so it is folded
+  // as is, at quality 1. Only a trace that needs repair pays for the
+  // sanitized copy.
+  try {
+    history.validate();
+  } catch (const Error&) {
+    const fault::SanitizeResult repaired = fault::sanitize_trace(history);
+    HabitModel model = fold_trace(repaired.trace);
+    model.data_quality_ = repaired.report.quality();
+    return model;
+  }
+  return fold_trace(history);
 }
 
 HabitModel HabitModel::mine(const engine::TraceIndex& history) {
@@ -31,18 +41,32 @@ HabitModel HabitModel::mine(const engine::TraceIndex& history,
   NM_REQUIRE(first_day >= 0 && first_day <= last_day &&
                  last_day <= history.num_days(),
              "mining window out of range");
+  return fold(history.buckets(), history.num_apps(), first_day, last_day);
+}
+
+HabitModel HabitModel::fold_trace(const UserTrace& trace) {
+  std::vector<Bucket> buckets(static_cast<std::size_t>(trace.num_days) *
+                              kHoursPerDay);
+  engine::TraceIndex::fold_hour_buckets(trace, buckets);
+  return fold(buckets, trace.app_names.size(), 0, trace.num_days);
+}
+
+HabitModel HabitModel::fold(std::span<const Bucket> buckets,
+                            std::size_t num_apps, int first_day,
+                            int last_day) {
   HabitModel model;
 
-  // The index's per-(day, hour) buckets hold exactly the occupancy
-  // flags and accumulators Eqs. 2–3 need; fold them into the two day
-  // regimes. Eq. 3 counts (app, day) pairs: the bucket's distinct-app
-  // count over the denominator m*k honours that.
-  const std::size_t num_apps = history.num_apps();
+  // The per-(day, hour) buckets hold exactly the occupancy flags and
+  // accumulators Eqs. 2–3 need; fold them into the two day regimes.
+  // Eq. 3 counts (app, day) pairs: the bucket's distinct-app count over
+  // the denominator m*k honours that.
   for (int d = first_day; d < last_day; ++d) {
     auto& s = model.stats_[static_cast<std::size_t>(day_kind(d))];
     ++s.days_observed;
     for (int h = 0; h < kHoursPerDay; ++h) {
-      const engine::TraceIndex::HourBucket& bucket = history.bucket(d, h);
+      const Bucket& bucket = buckets[static_cast<std::size_t>(d) *
+                                         kHoursPerDay +
+                                     static_cast<std::size_t>(h)];
       if (bucket.usage_count > 0) s.pr_active[h] += 1.0;
       s.mean_intensity[h] += bucket.usage_count;
       s.mean_net_count[h] += bucket.net_count;

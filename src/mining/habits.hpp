@@ -15,7 +15,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/interval.hpp"
@@ -68,10 +70,13 @@ struct HourStats {
 /// Mined habit model of one user.
 class HabitModel {
  public:
-  /// Mines a training trace (all its days). Tolerant: corrupted input
-  /// is repaired through fault::sanitize_trace first, and the repair
-  /// ledger's quality score scales the model's confidence. Valid
-  /// traces mine bit-identically to the index overload.
+  /// Mines a training trace (all its days) in one pass over its
+  /// events, without building an index. Tolerant: a trace that fails
+  /// validate() is repaired through fault::sanitize_trace first, and
+  /// the repair ledger's quality score scales the model's confidence; a
+  /// valid trace is folded as is, at data quality 1. Either way the
+  /// model is bit-identical to the index overload on the (repaired)
+  /// trace.
   static HabitModel mine(const UserTrace& history);
 
   /// Mines from a prebuilt index (the per-hour buckets are exactly the
@@ -127,6 +132,16 @@ class HabitModel {
 
  private:
   friend class IncrementalHabitMiner;  ///< snapshots fill stats_ directly
+
+  using Bucket = engine::TraceIndex::HourBucket;
+
+  /// Buckets a valid trace and folds all its days.
+  static HabitModel fold_trace(const UserTrace& trace);
+
+  /// The mining fold shared by every overload: days [first_day,
+  /// last_day) of a day-major bucket grid.
+  static HabitModel fold(std::span<const Bucket> buckets,
+                         std::size_t num_apps, int first_day, int last_day);
 
   std::array<HourStats, 2> stats_{};
   double data_quality_ = 1.0;

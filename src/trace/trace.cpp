@@ -1,6 +1,7 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -53,10 +54,13 @@ void UserTrace::validate() const {
     NM_REQUIRE(n.start >= prev, "activities must be sorted by start");
     NM_REQUIRE(n.start >= 0 && n.start < end, "activity outside trace");
     NM_REQUIRE(n.duration >= 0, "activity duration must be non-negative");
-    NM_REQUIRE(n.start + n.duration <= end,
+    NM_REQUIRE(n.duration <= end - n.start,
                "activity must finish within the trace");
     NM_REQUIRE(n.bytes_down >= 0 && n.bytes_up >= 0,
                "activity byte counts must be non-negative");
+    NM_REQUIRE(n.bytes_up <= std::numeric_limits<std::int64_t>::max() -
+                                 n.bytes_down,
+               "activity byte total must fit in int64");
     NM_REQUIRE(n.app >= 0 &&
                    static_cast<std::size_t>(n.app) < app_names.size(),
                "activity references unknown app id");

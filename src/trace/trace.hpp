@@ -67,7 +67,8 @@ struct NetworkActivity {
 ///
 /// Invariants (enforced by `validate()`): all event vectors sorted by
 /// time, all timestamps within [0, num_days * kMsPerDay), screen sessions
-/// disjoint, app ids within [0, app_names.size()).
+/// disjoint, app ids within [0, app_names.size()), activity byte counts
+/// non-negative with a total that fits in int64.
 struct UserTrace {
   UserId user = 0;
   int num_days = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -52,6 +53,18 @@ std::int64_t parse_int(std::string_view field, int line) {
                          std::string(field) + "'");
   }
   return value;
+}
+
+/// parse_int for the int-typed fields (user id, day count, app ids):
+/// a value outside int is rejected, not truncated.
+int parse_int32(std::string_view field, int line) {
+  const std::int64_t value = parse_int(field, line);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    parse_fail(line, "integer out of int range: '" + std::string(field) +
+                         "'");
+  }
+  return static_cast<int>(value);
 }
 
 bool parse_bool(std::string_view field, int line) {
@@ -113,8 +126,8 @@ UserTrace read_trace(std::istream& is) {
     if (kind == "user") {
       expect_fields(fields, 4, lineno, "user");
       if (fields[2] != "days") parse_fail(lineno, "expected 'days' field");
-      trace.user = static_cast<UserId>(parse_int(fields[1], lineno));
-      trace.num_days = static_cast<int>(parse_int(fields[3], lineno));
+      trace.user = parse_int32(fields[1], lineno);
+      trace.num_days = parse_int32(fields[3], lineno);
       saw_header = true;
     } else if (kind == "app") {
       expect_fields(fields, 3, lineno, "app");
@@ -129,13 +142,13 @@ UserTrace read_trace(std::istream& is) {
           {parse_int(fields[1], lineno), parse_int(fields[2], lineno)});
     } else if (kind == "usage") {
       expect_fields(fields, 4, lineno, "usage");
-      trace.usages.push_back({static_cast<AppId>(parse_int(fields[1], lineno)),
+      trace.usages.push_back({parse_int32(fields[1], lineno),
                               parse_int(fields[2], lineno),
                               parse_int(fields[3], lineno)});
     } else if (kind == "net") {
       expect_fields(fields, 8, lineno, "net");
       NetworkActivity n;
-      n.app = static_cast<AppId>(parse_int(fields[1], lineno));
+      n.app = parse_int32(fields[1], lineno);
       n.start = parse_int(fields[2], lineno);
       n.duration = parse_int(fields[3], lineno);
       n.bytes_down = parse_int(fields[4], lineno);

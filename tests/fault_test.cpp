@@ -3,6 +3,8 @@
 // repair guarantees (valid output, honest ledger, clean passthrough).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -196,6 +198,44 @@ TEST(Sanitize, ClampsNegativeBytesAndClipsAtHorizon) {
   EXPECT_EQ(out.trace.activities[0].bytes_up, 0);
   EXPECT_EQ(out.trace.activities[1].duration, 10);
   EXPECT_EQ(out.report.clamped_events, 2u);
+  EXPECT_NO_THROW(out.trace.validate());
+}
+
+TEST(Sanitize, HugeDurationsAndByteTotalsAreClampedNotOverflowed) {
+  // start + duration and bytes_down + bytes_up both overflow int64 here;
+  // validate() must reject the trace and sanitize_trace must clamp it,
+  // both without evaluating the overflowing sum (UBSan-checked).
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  UserTrace t;
+  t.user = 1;
+  t.num_days = 1;
+  t.app_names = {"a"};
+  t.activities = {{0, 1000, kMax, 5, 5, false, true},
+                  {0, 2000, 10, kMax - 3, 4, false, true},
+                  {0, 3000, 10, kMax, 0, false, true}};  // total fits
+  EXPECT_THROW(t.validate(), Error);
+
+  UserTrace huge_duration = t;
+  huge_duration.activities.resize(1);
+  EXPECT_THROW(huge_duration.validate(), Error);
+  UserTrace huge_bytes = t;
+  huge_bytes.activities.erase(huge_bytes.activities.begin());
+  huge_bytes.activities.pop_back();
+  EXPECT_THROW(huge_bytes.validate(), Error);
+  UserTrace max_total = t;
+  max_total.activities.erase(max_total.activities.begin(),
+                             max_total.activities.begin() + 2);
+  EXPECT_NO_THROW(max_total.validate());
+
+  const SanitizeResult out = sanitize_trace(t);
+  ASSERT_EQ(out.trace.activities.size(), 3u);
+  EXPECT_EQ(out.trace.activities[0].duration, kMsPerDay - 1000);
+  EXPECT_EQ(out.trace.activities[1].bytes_down, kMax - 3);
+  EXPECT_EQ(out.trace.activities[1].bytes_up, 3);
+  EXPECT_EQ(out.trace.activities[1].total_bytes(), kMax);
+  EXPECT_EQ(out.trace.activities[2], t.activities[2]);
+  EXPECT_EQ(out.report.clamped_events, 2u);
+  EXPECT_EQ(out.report.dropped_events, 0u);
   EXPECT_NO_THROW(out.trace.validate());
 }
 

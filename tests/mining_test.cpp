@@ -1,9 +1,23 @@
-// Tests for habit mining, slot prediction (Eqs. 2–3) and special apps.
+// Tests for habit mining, slot prediction (Eqs. 2–3) and special apps,
+// and the differential check of the one-pass mine(UserTrace) against
+// the sanitize + re-index composition it replaced.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/error.hpp"
+#include "engine/trace_index.hpp"
+#include "eval/session.hpp"
+#include "fault/fault_plan.hpp"
+#include "fault/injector.hpp"
+#include "fault/sanitize.hpp"
 #include "mining/habits.hpp"
 #include "mining/special_apps.hpp"
+#include "obs/metrics.hpp"
 #include "synth/generator.hpp"
 #include "synth/presets.hpp"
 
@@ -205,6 +219,140 @@ TEST(SpecialApps, UnseenAppsDefaultSpecial) {
   const SpecialApps special = SpecialApps::detect(fixture());
   EXPECT_TRUE(special.is_special(99));  // newly installed
   EXPECT_FALSE(special.is_special(-1));
+}
+
+// ---- mine(UserTrace) vs the sanitize + re-index composition. ---------
+
+void expect_models_bitwise_equal(const HabitModel& a, const HabitModel& b,
+                                 const std::string& context) {
+  for (const DayKind kind : {DayKind::kWeekday, DayKind::kWeekend}) {
+    const HourStats& sa = a.stats(kind);
+    const HourStats& sb = b.stats(kind);
+    ASSERT_EQ(sa.days_observed, sb.days_observed) << context;
+    for (int h = 0; h < kHoursPerDay; ++h) {
+      ASSERT_EQ(sa.pr_active[h], sb.pr_active[h]) << context << " h" << h;
+      ASSERT_EQ(sa.pr_net[h], sb.pr_net[h]) << context << " h" << h;
+      ASSERT_EQ(sa.mean_intensity[h], sb.mean_intensity[h])
+          << context << " h" << h;
+      ASSERT_EQ(sa.mean_net_count[h], sb.mean_net_count[h])
+          << context << " h" << h;
+      ASSERT_EQ(sa.mean_net_bytes[h], sb.mean_net_bytes[h])
+          << context << " h" << h;
+      ASSERT_EQ(sa.confidence[h], sb.confidence[h]) << context << " h" << h;
+    }
+  }
+  ASSERT_EQ(a.data_quality(), b.data_quality()) << context;
+}
+
+/// What mine(UserTrace) computed before it learned to skip the copy:
+/// sanitize every trace, index the repaired copy, mine the index, scale
+/// by the repair ledger's quality.
+HabitModel sanitize_index_mine(const UserTrace& t) {
+  const fault::SanitizeResult repaired = fault::sanitize_trace(t);
+  HabitModel model = HabitModel::mine(engine::TraceIndex(repaired.trace));
+  model.scale_confidence(repaired.report.quality());
+  return model;
+}
+
+/// Clean traces of every archetype, the chaos matrix's corrupted
+/// training traces (every fault kind, rate and seed), and hand-built
+/// edge cases.
+std::vector<std::pair<std::string, UserTrace>> mining_corpus() {
+  std::vector<std::pair<std::string, UserTrace>> corpus;
+  for (int arch = 0; arch < 10; ++arch) {
+    for (const std::uint64_t seed : {3u, 17u}) {
+      corpus.emplace_back(
+          "archetype " + std::to_string(arch) + " seed " +
+              std::to_string(seed),
+          synth::generate_trace(
+              synth::make_user(static_cast<synth::Archetype>(arch), 1), 14,
+              seed));
+    }
+  }
+
+  eval::ExperimentConfig chaos;  // the chaos matrix's training window
+  chaos.train_days = 7;
+  chaos.eval_days = 3;
+  chaos.seed = 42;
+  const UserTrace training =
+      eval::make_traces(
+          synth::make_user(synth::Archetype::kOfficeWorker, 1), chaos)
+          .training;
+  for (const fault::FaultKind kind : fault::all_fault_kinds()) {
+    for (const double rate : {0.05, 0.2, 0.5}) {
+      for (const std::uint64_t seed : {1u, 7u, 31u}) {
+        fault::FaultPlan plan;
+        plan.seed = seed;
+        plan.with(kind, rate);
+        corpus.emplace_back(std::string(fault::kind_name(kind)) + " rate " +
+                                std::to_string(rate) + " seed " +
+                                std::to_string(seed),
+                            fault::inject_faults(training, plan).trace);
+      }
+    }
+  }
+  fault::FaultPlan stacked;
+  stacked.seed = 99;
+  for (const fault::FaultKind kind : fault::all_fault_kinds()) {
+    stacked.with(kind, 0.3);
+  }
+  corpus.emplace_back("all kinds stacked",
+                      fault::inject_faults(training, stacked).trace);
+
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  UserTrace edge = fixture();
+  edge.activities.front().duration = kMax;  // start + duration overflows
+  corpus.emplace_back("huge duration", edge);
+  edge = fixture();
+  edge.activities.front().bytes_down = kMax;  // byte total overflows
+  corpus.emplace_back("huge byte total", edge);
+  edge = fixture();
+  edge.num_days = 0;
+  corpus.emplace_back("zero days", edge);
+  edge = fixture();
+  edge.activities.back().app = 2;  // unknown app
+  corpus.emplace_back("unknown app", edge);
+  return corpus;
+}
+
+TEST(HabitModel, MineTraceBitwiseEqualsSanitizeIndexMine) {
+  for (const auto& [context, trace] : mining_corpus()) {
+    expect_models_bitwise_equal(HabitModel::mine(trace),
+                                sanitize_index_mine(trace), context);
+  }
+}
+
+TEST(HabitModel, ValidateAcceptsExactlyTheTracesSanitizeLeavesClean) {
+  std::size_t valid = 0;
+  std::size_t dirty = 0;
+  for (const auto& [context, trace] : mining_corpus()) {
+    bool passes = true;
+    try {
+      trace.validate();
+    } catch (const Error&) {
+      passes = false;
+    }
+    EXPECT_EQ(passes, fault::sanitize_trace(trace).report.clean()) << context;
+    ++(passes ? valid : dirty);
+  }
+  // The corpus exercises both sides of the equivalence.
+  EXPECT_GT(valid, 20u);
+  EXPECT_GT(dirty, 20u);
+}
+
+TEST(HabitModel, MiningAValidTraceSkipsTheSanitizer) {
+  obs::Counter& calls =
+      obs::Registry::global().counter("fault.sanitize.calls");
+  const UserTrace clean = fixture();
+  const std::uint64_t before = calls.value();
+  static_cast<void>(HabitModel::mine(clean));
+  EXPECT_EQ(calls.value(), before);
+
+  UserTrace dirty = fixture();
+  dirty.activities.front().bytes_up = -1;
+  const HabitModel repaired = HabitModel::mine(dirty);
+  EXPECT_EQ(calls.value(), before + 1);
+  EXPECT_LT(repaired.data_quality(), 1.0);
 }
 
 // Property: raising delta never grows the active slot set.

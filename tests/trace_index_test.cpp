@@ -1,13 +1,18 @@
 // Tests for engine::TraceIndex: structural invariants, session lookups
-// against the linear-scan ground truth, bucket totals, and the
-// bit-identity of policy outcomes between the shared-index path and the
-// one-shot UserTrace path.
+// against the linear-scan ground truth, bucket totals, the cursor
+// bucket fold against the frozen binary-search fold (synth and fuzzed
+// traces), and the bit-identity of policy outcomes between the
+// shared-index path and the one-shot UserTrace path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "engine/trace_index.hpp"
 #include "mining/habits.hpp"
 #include "policy/baseline.hpp"
@@ -242,6 +247,202 @@ TEST(TraceIndex, MovedFromOwnerLifetimeIsCaught) {
   owner.reset();  // destruction retires, like a store slot being freed
   EXPECT_FALSE(index.source_alive());
   EXPECT_THROW(index.trace(), Error);
+}
+
+// ---- Bucket fold vs the frozen binary-search fold. -------------------
+
+/// The per-(day, hour) bucket loop as TraceIndex::build ran it before
+/// the fold moved into TraceIndex::fold_hour_buckets: one binary search
+/// over the session ends per activity. Frozen here as the oracle of the
+/// cursor fold; do not "fix" it.
+std::vector<TraceIndex::HourBucket> reference_buckets(const UserTrace& t) {
+  const auto screen_on_at = [&t](TimeMs v) {
+    const auto it = std::lower_bound(
+        t.sessions.begin(), t.sessions.end(), v,
+        [](const ScreenSession& s, TimeMs x) { return s.end <= x; });
+    return it != t.sessions.end() && it->begin <= v && v < it->end;
+  };
+  const TimeMs horizon = t.trace_end();
+  const int days = std::max(t.num_days, 0);
+  std::vector<TraceIndex::HourBucket> buckets(
+      static_cast<std::size_t>(days) * kHoursPerDay);
+  const std::size_t num_apps = t.app_names.size();
+  std::vector<bool> app_seen(buckets.size() * num_apps, false);
+  for (const AppUsage& u : t.usages) {
+    if (u.time < 0 || u.time >= horizon) continue;
+    ++buckets[static_cast<std::size_t>(day_of(u.time)) * kHoursPerDay +
+              static_cast<std::size_t>(hour_of(u.time))]
+          .usage_count;
+  }
+  for (const NetworkActivity& a : t.activities) {
+    if (a.start < 0 || a.start >= horizon) continue;
+    if (screen_on_at(a.start)) continue;
+    const std::size_t b =
+        static_cast<std::size_t>(day_of(a.start)) * kHoursPerDay +
+        static_cast<std::size_t>(hour_of(a.start));
+    TraceIndex::HourBucket& bucket = buckets[b];
+    ++bucket.net_count;
+    bucket.net_bytes += static_cast<double>(a.bytes_down + a.bytes_up);
+    if (a.app >= 0 && static_cast<std::size_t>(a.app) < num_apps) {
+      const std::size_t bit = b * num_apps + static_cast<std::size_t>(a.app);
+      if (!app_seen[bit]) {
+        app_seen[bit] = true;
+        ++bucket.distinct_net_apps;
+      }
+    }
+  }
+  return buckets;
+}
+
+void expect_buckets_eq(std::span<const TraceIndex::HourBucket> got,
+                       const std::vector<TraceIndex::HourBucket>& want,
+                       const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (std::size_t b = 0; b < want.size(); ++b) {
+    ASSERT_EQ(got[b].usage_count, want[b].usage_count) << context << " " << b;
+    ASSERT_EQ(got[b].net_count, want[b].net_count) << context << " " << b;
+    // EQ, not NEAR: same additions in the same order.
+    ASSERT_EQ(got[b].net_bytes, want[b].net_bytes) << context << " " << b;
+    ASSERT_EQ(got[b].distinct_net_apps, want[b].distinct_net_apps)
+        << context << " " << b;
+  }
+}
+
+/// Sessions the index's invariant check accepts: non-empty, sorted,
+/// disjoint, starting at or after 0.
+bool sessions_well_formed(const UserTrace& t) {
+  TimeMs prev_end = 0;
+  for (const ScreenSession& s : t.sessions) {
+    if (s.begin >= s.end || s.begin < prev_end) return false;
+    prev_end = s.end;
+  }
+  return true;
+}
+
+/// The shapes the fuzz draws. Every shape mixes in out-of-horizon
+/// events and bad app ids; they differ in how the sessions and the
+/// activity starts are ordered, which decides the cursor's path.
+enum class FuzzShape {
+  kSorted,              ///< sorted disjoint sessions, sorted starts
+  kBackwardStarts,      ///< sorted disjoint sessions, shuffled starts
+  kOverlappingSorted,   ///< overlapping sessions, ends still sorted
+  kUnsortedSessions,    ///< random sessions: ends unsorted
+};
+
+UserTrace fuzz_trace(Rng& rng, FuzzShape shape) {
+  UserTrace t;
+  t.user = 5;
+  t.num_days = static_cast<int>(rng.uniform_int(0, 3));
+  const auto num_apps = static_cast<int>(rng.uniform_int(0, 4));
+  for (int a = 0; a < num_apps; ++a) {
+    t.app_names.push_back("app" + std::to_string(a));
+  }
+  const TimeMs horizon = std::max<TimeMs>(t.trace_end(), kMsPerDay);
+  const auto any_time = [&] {
+    return rng.uniform_int(-kMsPerHour, horizon + kMsPerHour);
+  };
+  const auto any_app = [&]() -> AppId {
+    if (rng.bernoulli(0.05)) return 1 << 30;
+    return static_cast<AppId>(rng.uniform_int(-1, num_apps));
+  };
+
+  const auto num_sessions = rng.uniform_int(0, 40);
+  if (shape == FuzzShape::kUnsortedSessions) {
+    for (std::int64_t i = 0; i < num_sessions; ++i) {
+      const TimeMs begin = any_time();
+      t.sessions.push_back(
+          {begin, begin + rng.uniform_int(-kMsPerMinute, 2 * kMsPerHour)});
+    }
+  } else {
+    TimeMs at = rng.uniform_int(0, kMsPerHour);
+    TimeMs prev_end = 0;
+    for (std::int64_t i = 0; i < num_sessions && at < horizon; ++i) {
+      const TimeMs end = std::max(at + rng.uniform_int(1, kMsPerHour),
+                                  prev_end);
+      t.sessions.push_back({at, end});
+      prev_end = end;
+      at = shape == FuzzShape::kOverlappingSorted
+               ? at + rng.uniform_int(1, end - at)  // may start inside
+               : end + rng.uniform_int(0, 2 * kMsPerHour);
+    }
+  }
+
+  const auto num_usages = rng.uniform_int(0, 60);
+  for (std::int64_t i = 0; i < num_usages; ++i) {
+    t.usages.push_back({any_app(), any_time(), rng.uniform_int(0, 5000)});
+  }
+  const auto num_acts = rng.uniform_int(0, 200);
+  for (std::int64_t i = 0; i < num_acts; ++i) {
+    NetworkActivity n;
+    n.app = any_app();
+    // Some starts land exactly on a session edge.
+    n.start = !t.sessions.empty() && rng.bernoulli(0.2)
+                  ? t.sessions[static_cast<std::size_t>(rng.uniform_int(
+                                   0, static_cast<std::int64_t>(
+                                          t.sessions.size()) - 1))]
+                        .end
+                  : any_time();
+    n.duration = rng.uniform_int(0, 60'000);
+    n.bytes_down = rng.uniform_int(0, 1'000'000);
+    n.bytes_up = rng.uniform_int(0, 1'000'000);
+    n.deferrable = rng.bernoulli(0.7);
+    t.activities.push_back(n);
+  }
+  if (shape != FuzzShape::kBackwardStarts) {
+    std::stable_sort(t.activities.begin(), t.activities.end(),
+                     [](const NetworkActivity& a, const NetworkActivity& b) {
+                       return a.start < b.start;
+                     });
+  }
+  return t;
+}
+
+TEST(TraceIndexFold, MatchesBinarySearchFoldOnSynthTraces) {
+  for (int arch = 0; arch < 10; ++arch) {
+    const UserTrace trace = synth::generate_trace(
+        synth::make_user(static_cast<synth::Archetype>(arch), 1), 14, 11);
+    const TraceIndex index(trace);
+    expect_buckets_eq(index.buckets(), reference_buckets(trace),
+                      "archetype " + std::to_string(arch));
+    index.check_invariants();
+  }
+}
+
+TEST(TraceIndexFold, FuzzMatchesBinarySearchFold) {
+  Rng rng(20261017);
+  for (const FuzzShape shape :
+       {FuzzShape::kSorted, FuzzShape::kBackwardStarts,
+        FuzzShape::kOverlappingSorted, FuzzShape::kUnsortedSessions}) {
+    for (int iter = 0; iter < 250; ++iter) {
+      const UserTrace t = fuzz_trace(rng, shape);
+      const std::string context = "shape " +
+                                  std::to_string(static_cast<int>(shape)) +
+                                  " iter " + std::to_string(iter);
+      const std::vector<TraceIndex::HourBucket> want = reference_buckets(t);
+
+      const TraceIndex index(t);
+      expect_buckets_eq(index.buckets(), want, context);
+
+      // The standalone fold (the mining path) gives the same grid.
+      std::vector<TraceIndex::HourBucket> direct(want.size());
+      TraceIndex::fold_hour_buckets(t, direct);
+      expect_buckets_eq(direct, want, context + " direct");
+
+      // The invariant check holds wherever its session precondition
+      // does, and catches the malformed sessions everywhere else.
+      if (sessions_well_formed(t)) {
+        EXPECT_NO_THROW(index.check_invariants()) << context;
+      } else {
+        EXPECT_THROW(index.check_invariants(), Error) << context;
+      }
+    }
+  }
+}
+
+TEST(TraceIndexFold, RejectsMisSizedBucketSpan) {
+  const UserTrace t = fixture();
+  std::vector<TraceIndex::HourBucket> short_grid(kHoursPerDay - 1);
+  EXPECT_THROW(TraceIndex::fold_hour_buckets(t, short_grid), Error);
 }
 
 TEST(TraceIndex, BucketAccessorRejectsOutOfRange) {

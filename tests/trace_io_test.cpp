@@ -115,6 +115,22 @@ TEST(TraceIo, OutOfRangeIntegerThrows) {
   EXPECT_THROW(read_trace(header), TraceParseError);
 }
 
+TEST(TraceIo, IntFieldOutsideIntRangeThrows) {
+  // The day count, user id and app ids are int: a value that fits int64
+  // but not int must be rejected, not truncated (4294967297 used to
+  // read as a one-day trace, 4294967296 as app 0).
+  for (const char* text :
+       {"user,1,days,4294967297\n", "user,1,days,-4294967295\n",
+        "user,4294967296,days,1\n",
+        "user,1,days,1\napp,0,a\nusage,4294967296,10,5\n",
+        "user,1,days,1\napp,0,a\nnet,4294967296,10,5,1,1,0,1\n"}) {
+    std::stringstream ss(text);
+    EXPECT_THROW(read_trace(ss), TraceParseError) << text;
+  }
+  std::stringstream edge("user,2147483647,days,1\n");
+  EXPECT_EQ(read_trace(edge).user, 2147483647);
+}
+
 TEST(TraceIo, WhitespacePaddedIntegerThrows) {
   std::stringstream ss;
   ss << "user,1,days,1\nscreen, 100,200\n";
