@@ -14,26 +14,7 @@ IntervalSet::IntervalSet(std::vector<Interval> intervals) {
   for (const Interval& iv : intervals) append(iv);
 }
 
-void IntervalSet::append(const Interval& iv) {
-  if (!intervals_.empty() && iv.begin <= intervals_.back().end) {
-    intervals_.back().end = std::max(intervals_.back().end, iv.end);
-  } else {
-    intervals_.push_back(iv);
-  }
-}
-
-void IntervalSet::add(TimeMs begin, TimeMs end) {
-  if (begin >= end) return;
-
-  // Tail fast path: an interval starting at or after the last one's
-  // begin can only touch the last interval (its predecessors end before
-  // the last begins), so it is a push or an in-place extension — the
-  // same result the general path below computes.
-  if (intervals_.empty() || begin >= intervals_.back().begin) {
-    append(Interval{begin, end});
-    return;
-  }
-
+void IntervalSet::insert(TimeMs begin, TimeMs end) {
   // Find the first existing interval whose end reaches begin (candidates
   // for merging) and the first whose begin exceeds end.
   auto first = std::lower_bound(

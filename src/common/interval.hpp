@@ -6,6 +6,7 @@
 // is also a measure of a union.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "common/error.hpp"
@@ -50,11 +51,19 @@ class IntervalSet {
   explicit IntervalSet(std::vector<Interval> intervals);
 
   /// Adds [begin, end), merging with existing intervals as needed.
-  /// No-op when the interval is empty. O(1) when the interval begins at
-  /// or after the last one's begin (in-order appends, the common case
-  /// in the simulator); otherwise a binary search plus an O(n) vector
-  /// insert or erase.
-  void add(TimeMs begin, TimeMs end);
+  /// No-op when the interval is empty. O(1) and inline when the
+  /// interval begins at or after the last one's begin (in-order
+  /// appends, the common case in the simulator): such an interval can
+  /// only touch the last one, whose predecessors end before it begins.
+  /// Otherwise a binary search plus an O(n) vector insert or erase.
+  void add(TimeMs begin, TimeMs end) {
+    if (begin >= end) return;
+    if (intervals_.empty() || begin >= intervals_.back().begin) {
+      append(Interval{begin, end});
+    } else {
+      insert(begin, end);
+    }
+  }
   void add(const Interval& iv) { add(iv.begin, iv.end); }
 
   /// Union with another set: a two-pointer merge, O(n + m), touching
@@ -72,6 +81,7 @@ class IntervalSet {
 
   bool empty() const { return intervals_.empty(); }
   std::size_t size() const { return intervals_.size(); }
+  void reserve(std::size_t n) { intervals_.reserve(n); }
   const std::vector<Interval>& intervals() const { return intervals_; }
 
   /// Complement of this set within the clip window [begin, end).
@@ -80,7 +90,17 @@ class IntervalSet {
  private:
   /// Appends a non-empty interval whose begin is >= every begin in the
   /// set, coalescing it into the last interval when they touch.
-  void append(const Interval& iv);
+  void append(const Interval& iv) {
+    if (!intervals_.empty() && iv.begin <= intervals_.back().end) {
+      if (iv.end > intervals_.back().end) intervals_.back().end = iv.end;
+    } else {
+      intervals_.push_back(iv);
+    }
+  }
+
+  /// The out-of-order path of add(): a non-empty interval beginning
+  /// before the last one's begin.
+  void insert(TimeMs begin, TimeMs end);
 
   std::vector<Interval> intervals_;  // sorted, disjoint, non-empty
 };

@@ -79,30 +79,27 @@ void RadioTimeline::allow_wakes(const std::vector<duty::WakeEvent>& wakes) {
   }));
 }
 
-RadioAccounting account_columns(std::span<const TimeMs> begins,
-                                std::span<const TimeMs> ends,
-                                const RadioModel& model,
-                                TimeMs horizon_end,
-                                const IntervalSet* radio_allowed) {
+RadioAccounting account_intervals(std::span<const Interval> transfers,
+                                  const RadioModel& model,
+                                  TimeMs horizon_end,
+                                  const IntervalSet* radio_allowed) {
   model.validate();
-  const std::size_t n = begins.size();
-  NM_REQUIRE(n == ends.size(),
-             "transfer columns must have equal lengths");
+  const std::size_t n = transfers.size();
 
   const std::vector<Interval>* allowed =
       radio_allowed != nullptr ? &radio_allowed->intervals() : nullptr;
 
   // Validation pass, in index order so a doubly-invalid input raises
   // the same error the reference implementation would. The canonical
-  // columns are sorted, so the allowed-set membership check is one
+  // intervals are sorted, so the allowed-set membership check is one
   // monotone merge cursor instead of n binary searches.
   {
     std::size_t j = 0;
-    for (std::size_t k = 0; k < n; ++k) {
-      NM_REQUIRE(ends[k] <= horizon_end,
+    for (const Interval& iv : transfers) {
+      NM_REQUIRE(iv.end <= horizon_end,
                  "transfer extends beyond the accounting horizon");
       if (allowed != nullptr) {
-        const TimeMs b = begins[k];
+        const TimeMs b = iv.begin;
         while (j < allowed->size() && (*allowed)[j].end <= b) ++j;
         NM_REQUIRE(j < allowed->size() && (*allowed)[j].begin <= b,
                    "transfer outside the radio-allowed set");
@@ -150,13 +147,13 @@ RadioAccounting account_columns(std::span<const TimeMs> begins,
     promo_ms += promo0;
     assoc_total += model.assoc_ms;
     associations += model.assoc_ms > 0;
-    const DurationMs dur0 = ends[0] - begins[0];
+    const DurationMs dur0 = transfers[0].length();
     active_ms += dur0;
-    connected_until = begins[0] + model.assoc_ms + promo0 + dur0;
+    connected_until = transfers[0].begin + model.assoc_ms + promo0 + dur0;
 
     for (std::size_t k = 1; k < n; ++k) {
-      const TimeMs b = begins[k];
-      const DurationMs dur = ends[k] - b;
+      const TimeMs b = transfers[k].begin;
+      const DurationMs dur = transfers[k].end - b;
       const TimeMs prev = connected_until;
       const TimeMs cut = allowed_until(prev);
       const TimeMs warm_end = prev + total_tail;
@@ -222,27 +219,6 @@ RadioAccounting account_columns(std::span<const TimeMs> begins,
   acc.energy_j += energy_joules(model.promo_mw, acc.promo_ms);
   acc.energy_j += energy_joules(model.assoc_mw, acc.assoc_ms);
   return acc;
-}
-
-RadioAccounting account_interval_set(const IntervalSet& transfers,
-                                     const RadioModel& model,
-                                     TimeMs horizon_end,
-                                     const IntervalSet* radio_allowed) {
-  // Scatter the AoS intervals into reusable per-thread columns: the
-  // kernel wants SoA and the accounting hot path must not allocate in
-  // steady state.
-  thread_local std::vector<TimeMs> begins;
-  thread_local std::vector<TimeMs> ends;
-  const std::vector<Interval>& ivs = transfers.intervals();
-  begins.clear();
-  ends.clear();
-  begins.reserve(ivs.size());
-  ends.reserve(ivs.size());
-  for (const Interval& iv : ivs) {
-    begins.push_back(iv.begin);
-    ends.push_back(iv.end);
-  }
-  return account_columns(begins, ends, model, horizon_end, radio_allowed);
 }
 
 }  // namespace netmaster::engine

@@ -60,8 +60,8 @@ class RadioTimeline {
   IntervalSet allowed_;
 };
 
-/// RRC state-residency accounting over SoA time columns: integrates
-/// the power model over the canonical transfer set, clipping the
+/// RRC state-residency accounting over a canonical transfer set:
+/// integrates the power model over the transfers, clipping the
 /// trailing tail at `horizon_end` (end of the accounting window).
 /// Transfers starting during a promotion or while the connected state
 /// is active continue the connected period without a new promotion; the
@@ -76,11 +76,10 @@ class RadioTimeline {
 /// set; a transfer arriving after a cut always pays a cold promotion.
 /// Null means the stock radio: tails always run to completion.
 ///
-/// `begins`/`ends` are the canonical transfer columns (sorted,
-/// disjoint, non-empty, equal length — exactly the layout of
-/// mem::SessionColumns and of an IntervalSet's split fields). The
-/// kernel makes a single branch-minimized pass: tail spans drain
-/// through the tier chain with max/min clamps, promotion classes are
+/// `transfers` must be canonical (sorted, disjoint, non-empty — an
+/// IntervalSet's own storage). The kernel reads the intervals in place
+/// and makes a single branch-minimized pass: tail spans drain through
+/// the tier chain with max/min clamps, promotion classes are
 /// boolean-arithmetic selectors over the tier boundaries instead of a
 /// branchy tier search, and the allowed-set lookups are two monotone
 /// merge cursors instead of per-transfer binary searches (O(n + m)
@@ -88,17 +87,9 @@ class RadioTimeline {
 /// millisecond totals. radio_timeline_test fuzzes it bit for bit
 /// against a branchy per-transfer reference over random 1–4-tier
 /// models. Takes any RadioModel (RadioPowerParams converts implicitly).
-RadioAccounting account_columns(std::span<const TimeMs> begins,
-                                std::span<const TimeMs> ends,
-                                const RadioModel& model,
-                                TimeMs horizon_end,
-                                const IntervalSet* radio_allowed = nullptr);
-
-/// account_columns over a canonical IntervalSet: splits the AoS
-/// intervals into thread-local scratch columns (no steady-state
-/// allocation) and runs the vectorized kernel.
-RadioAccounting account_interval_set(
-    const IntervalSet& transfers, const RadioModel& model,
-    TimeMs horizon_end, const IntervalSet* radio_allowed = nullptr);
+RadioAccounting account_intervals(std::span<const Interval> transfers,
+                                  const RadioModel& model,
+                                  TimeMs horizon_end,
+                                  const IntervalSet* radio_allowed = nullptr);
 
 }  // namespace netmaster::engine

@@ -163,7 +163,8 @@ void run_cell(const EvalSession& session, const PolicySpec& spec,
       radios.cellular = session.config().netmaster.profit.radio;
       radios.wifi = session.config().netmaster.profit.wifi;
     }
-    cell.report = sim::account(traces.eval(), outcome, radios);
+    cell.report =
+        sim::account(traces.eval(), session.facts(u), outcome, radios);
   } catch (const std::exception& e) {
     cell.failed = true;
     cell.error = e.what();

@@ -164,9 +164,11 @@ void EvalSession::prepare_user(std::size_t u) {
         pin.eval(), *state.arena, pin.lifetime());
     const policy::BaselinePolicy base;
     const obs::SpanScope account_span("fleet.account");
-    const RadioModel& radio = config_.netmaster.profit.radio;
+    state.facts = sim::trace_facts(pin.eval());
+    RadioSet radios;  // the baseline runs every transfer on cellular
+    radios.cellular = config_.netmaster.profit.radio;
     state.baseline =
-        sim::account(pin.eval(), base.run(*state.index), radio);
+        sim::account(pin.eval(), state.facts, base.run(*state.index), radios);
   } catch (const std::exception& e) {
     state.prep_error = e.what();
   }
@@ -192,6 +194,13 @@ const sim::SimReport& EvalSession::baseline(std::size_t u) const {
   NM_REQUIRE(state.prep_error.empty(),
              "EvalSession::baseline on a failed user — check ok(u) first");
   return state.baseline;
+}
+
+const sim::TraceFacts& EvalSession::facts(std::size_t u) const {
+  const UserState& state = user(u);
+  NM_REQUIRE(state.prep_error.empty(),
+             "EvalSession::facts on a failed user — check ok(u) first");
+  return state.facts;
 }
 
 std::size_t EvalSession::arena_bytes() const {

@@ -128,10 +128,12 @@ class EvalSession {
   /// from the spill file when the user is cold and keeps the traces
   /// alive while held. Pin once per cell, not per field access.
   UserStore::Pin traces(std::size_t u) const { return store_->pin(u); }
-  /// The shared evaluation-trace index / baseline reference report.
+  /// The shared evaluation-trace index / baseline reference report /
+  /// policy-independent trace facts every cell's accounting reuses.
   /// Contract: only valid when `ok(u)`.
   const engine::TraceIndex& index(std::size_t u) const;
   const sim::SimReport& baseline(std::size_t u) const;
+  const sim::TraceFacts& facts(std::size_t u) const;
 
   /// The trace cache (resident bytes, eviction counts — bench fodder).
   const UserStore& store() const { return *store_; }
@@ -145,6 +147,7 @@ class EvalSession {
     std::unique_ptr<mem::Arena> arena;  ///< backs the index columns
     std::unique_ptr<engine::TraceIndex> index;
     sim::SimReport baseline;
+    sim::TraceFacts facts;
     std::string prep_error;  ///< empty = usable
   };
 
@@ -153,11 +156,12 @@ class EvalSession {
   /// its prepare task to `graph`; returns the prepare TaskId.
   jobs::TaskId schedule_user_build(jobs::TaskGraph& graph, std::size_t u,
                                    const synth::UserProfile& profile);
-  /// Appends user u's prepare task (validate, index, baseline) only.
+  /// Appends user u's prepare task (validate, index, facts, baseline)
+  /// only.
   jobs::TaskId schedule_user_prepare(jobs::TaskGraph& graph, std::size_t u);
   /// The per-user prepare body: validate, build the arena-backed
-  /// index, account the baseline. Never throws; failures land in
-  /// prep_error.
+  /// index, compute the trace facts, account the baseline. Never
+  /// throws; failures land in prep_error.
   void prepare_user(std::size_t u);
 
   ExperimentConfig config_;

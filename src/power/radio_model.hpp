@@ -21,7 +21,7 @@
 //
 // This header describes the machine and its accounting result; the
 // integration of state power over a transfer set lives in
-// engine/radio_timeline.hpp (`account_columns`). The g(t) helpers at
+// engine/radio_timeline.hpp (`account_intervals`). The g(t) helpers at
 // the bottom price single transfers for the scheduler's profit model.
 #pragma once
 

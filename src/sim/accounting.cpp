@@ -19,12 +19,42 @@ SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
   return account(eval, outcome, radios);
 }
 
+TraceFacts trace_facts(const UserTrace& eval) {
+  TraceFacts facts;
+  facts.horizon_ms = eval.trace_end();
+  for (const NetworkActivity& act : eval.activities) {
+    facts.bytes_down += act.bytes_down;
+    facts.bytes_up += act.bytes_up;
+    // Peak rate is a channel property of individual transfers; policies
+    // shift transfers in time but do not change their rate (the paper
+    // makes the same observation about Fig. 7c).
+    if (act.duration <= 0) continue;
+    const double s = to_seconds(act.duration);
+    facts.peak_down_rate_kbps =
+        std::max(facts.peak_down_rate_kbps,
+                 static_cast<double>(act.bytes_down) / 1000.0 / s);
+    facts.peak_up_rate_kbps =
+        std::max(facts.peak_up_rate_kbps,
+                 static_cast<double>(act.bytes_up) / 1000.0 / s);
+  }
+  facts.total_usages = eval.usages.size();
+  for (const ScreenSession& s : eval.sessions) {
+    facts.screen_on_ms += s.length();
+  }
+  return facts;
+}
+
 SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
                   const RadioSet& radios) {
+  return account(eval, trace_facts(eval), outcome, radios);
+}
+
+SimReport account(const UserTrace& eval, const TraceFacts& facts,
+                  const PolicyOutcome& outcome, const RadioSet& radios) {
   radios.validate();
   SimReport report;
   report.policy_name = outcome.policy_name;
-  report.horizon_ms = eval.trace_end();
+  report.horizon_ms = facts.horizon_ms;
   report.degraded = outcome.path == ExecutionPath::kDegradedFallback;
   report.degraded_reason = outcome.degraded_reason;
   report.drift_score = outcome.drift_score;
@@ -37,12 +67,16 @@ SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
   std::vector<bool> seen(eval.activities.size(), false);
   IntervalSet executed;       // cellular transfers
   IntervalSet executed_wifi;  // Wi-Fi offloads
+  executed.reserve(outcome.transfers.size());
   for (const ExecutedTransfer& t : outcome.transfers) {
     NM_REQUIRE(t.activity_index < eval.activities.size(),
                "transfer references unknown activity");
     NM_REQUIRE(!seen[t.activity_index], "activity executed twice");
     seen[t.activity_index] = true;
-    NM_REQUIRE(t.start >= 0 && t.start + t.duration <= report.horizon_ms,
+    NM_REQUIRE(t.duration >= 0, "transfer with a negative duration");
+    // Compared without forming start + duration, which overflows for
+    // durations near INT64_MAX.
+    NM_REQUIRE(t.start >= 0 && t.duration <= report.horizon_ms - t.start,
                "transfer outside the accounting horizon");
     if (t.radio == RadioId::kWifi) {
       executed_wifi.add(t.start, t.start + t.duration);
@@ -50,14 +84,14 @@ SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
     } else {
       executed.add(t.start, t.start + t.duration);
     }
-
-    const NetworkActivity& act = eval.activities[t.activity_index];
-    report.bytes_down += act.bytes_down;
-    report.bytes_up += act.bytes_up;
   }
+  // Every activity ran exactly once, so the outcome moved exactly the
+  // trace's bytes.
+  report.bytes_down = facts.bytes_down;
+  report.bytes_up = facts.bytes_up;
 
   // Cellular RRC energy over the executed schedule, under the policy's
-  // data switch when it drives one, by the vectorized engine kernel.
+  // data switch when it drives one, by the engine kernel.
   if (outcome.radio_allowed.has_value()) {
     // One canonical allowed-set construction: the policy's extra
     // windows, the executed cellular transfers themselves, and the
@@ -67,19 +101,19 @@ SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
     timeline.allow(executed);
     timeline.allow_wakes(outcome.wakes);
     const IntervalSet allowed = std::move(timeline).build();
-    report.radio = engine::account_interval_set(
-        executed, radios.cellular, report.horizon_ms, &allowed);
+    report.radio = engine::account_intervals(
+        executed.intervals(), radios.cellular, report.horizon_ms, &allowed);
   } else {
-    report.radio = engine::account_interval_set(executed, radios.cellular,
-                                                report.horizon_ms);
+    report.radio = engine::account_intervals(
+        executed.intervals(), radios.cellular, report.horizon_ms);
   }
 
   // The Wi-Fi interface is not behind the cellular data switch: its
   // PSM tails always run to completion, and every cold attach pays the
   // scan/associate burst the model describes.
   if (!executed_wifi.intervals().empty()) {
-    report.wifi = engine::account_interval_set(executed_wifi, radios.wifi,
-                                               report.horizon_ms);
+    report.wifi = engine::account_intervals(
+        executed_wifi.intervals(), radios.wifi, report.horizon_ms);
     report.wifi_energy_j = report.wifi.energy_j;
     report.wifi_on_ms = report.wifi.radio_on_ms;
   }
@@ -109,22 +143,11 @@ SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
     report.avg_up_rate_kbps =
         static_cast<double>(report.bytes_up) / 1000.0 / on_s;
   }
-  // Peak rate is a channel property of individual transfers; policies
-  // shift transfers in time but do not change their rate (the paper
-  // makes the same observation about Fig. 7c).
-  for (const NetworkActivity& act : eval.activities) {
-    if (act.duration <= 0) continue;
-    const double s = to_seconds(act.duration);
-    report.peak_down_rate_kbps =
-        std::max(report.peak_down_rate_kbps,
-                 static_cast<double>(act.bytes_down) / 1000.0 / s);
-    report.peak_up_rate_kbps =
-        std::max(report.peak_up_rate_kbps,
-                 static_cast<double>(act.bytes_up) / 1000.0 / s);
-  }
+  report.peak_down_rate_kbps = facts.peak_down_rate_kbps;
+  report.peak_up_rate_kbps = facts.peak_up_rate_kbps;
 
   // User experience.
-  report.total_usages = eval.usages.size();
+  report.total_usages = facts.total_usages;
   for (const AppUsage& u : eval.usages) {
     if (outcome.blocked.contains(u.time)) ++report.affected_usages;
   }
@@ -143,9 +166,7 @@ SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
         sum / static_cast<double>(report.deferred_count);
   }
 
-  for (const ScreenSession& s : eval.sessions) {
-    report.screen_on_ms += s.length();
-  }
+  report.screen_on_ms = facts.screen_on_ms;
   return report;
 }
 

@@ -64,11 +64,28 @@ struct SimReport {
   double drift_score = 0.0;     ///< drift score the policy acted under
 };
 
+/// The policy-independent part of every report over one evaluation
+/// trace. A user's cells share it, so the fleet computes it once per
+/// user instead of once per (user, policy) cell.
+struct TraceFacts {
+  DurationMs horizon_ms = 0;         ///< eval.trace_end()
+  std::int64_t bytes_down = 0;       ///< summed over every activity
+  std::int64_t bytes_up = 0;
+  double peak_down_rate_kbps = 0.0;  ///< best single-activity rate
+  double peak_up_rate_kbps = 0.0;
+  std::size_t total_usages = 0;
+  DurationMs screen_on_ms = 0;
+};
+
+/// Facts of `eval`. Peak rates skip zero-duration activities.
+TraceFacts trace_facts(const UserTrace& eval);
+
 /// Runs the accountant for a single-radio (cellular-only) outcome.
 /// Throws netmaster::Error when the outcome is inconsistent with the
-/// trace (missing/duplicate activities, transfers beyond the horizon)
-/// or assigns any transfer to a non-cellular radio. RadioPowerParams
-/// converts implicitly, so legacy call sites are unchanged.
+/// trace (missing/duplicate activities, negative durations, transfers
+/// beyond the horizon) or assigns any transfer to a non-cellular
+/// radio. RadioPowerParams converts implicitly, so legacy call sites
+/// are unchanged.
 SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
                   const RadioModel& params);
 
@@ -81,5 +98,12 @@ SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
 /// bit for bit.
 SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
                   const RadioSet& radios);
+
+/// The multi-radio accountant with the trace facts computed by the
+/// caller; `facts` must be trace_facts(eval). The byte totals are taken
+/// from the facts, which is exact because the accountant checks that
+/// the outcome executes every activity exactly once.
+SimReport account(const UserTrace& eval, const TraceFacts& facts,
+                  const PolicyOutcome& outcome, const RadioSet& radios);
 
 }  // namespace netmaster::sim

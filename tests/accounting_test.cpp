@@ -1,8 +1,27 @@
-// Tests for the accounting layer (PolicyOutcome -> SimReport).
+// Tests for the accounting layer (PolicyOutcome -> SimReport): the
+// metrics on hand-built outcomes, the per-user trace facts, the
+// rejection of impossible transfers, and a differential check of every
+// report field against the frozen accountant in
+// tests/reference_accounting.hpp.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/error.hpp"
+#include "eval/fleet.hpp"
+#include "eval/session.hpp"
+#include "fault/fault_plan.hpp"
+#include "fault/injector.hpp"
+#include "fault/sanitize.hpp"
+#include "policy/netmaster.hpp"
+#include "reference_accounting.hpp"
 #include "sim/accounting.hpp"
+#include "synth/generator.hpp"
+#include "synth/presets.hpp"
 
 namespace netmaster::sim {
 namespace {
@@ -267,6 +286,218 @@ TEST(Accounting, EmptyTrace) {
   EXPECT_EQ(r.radio_on_ms, 0);
   EXPECT_DOUBLE_EQ(r.affected_fraction, 0.0);
   EXPECT_DOUBLE_EQ(r.avg_down_rate_kbps, 0.0);
+}
+
+// ---- Trace facts ----
+
+TEST(TraceFacts, EmptyTrace) {
+  UserTrace t;
+  t.num_days = 2;
+  const TraceFacts f = trace_facts(t);
+  EXPECT_EQ(f.horizon_ms, 2 * kMsPerDay);
+  EXPECT_EQ(f.bytes_down, 0);
+  EXPECT_EQ(f.bytes_up, 0);
+  EXPECT_EQ(f.peak_down_rate_kbps, 0.0);
+  EXPECT_EQ(f.peak_up_rate_kbps, 0.0);
+  EXPECT_EQ(f.total_usages, 0u);
+  EXPECT_EQ(f.screen_on_ms, 0);
+}
+
+TEST(TraceFacts, ZeroDurationActivitiesCountBytesButNoRate) {
+  UserTrace t = fixture();
+  NetworkActivity instant = t.activities.front();
+  instant.start = seconds(30);
+  instant.duration = 0;
+  instant.bytes_down = 1'000'000;  // would dominate any finite rate
+  instant.bytes_up = 1'000'000;
+  t.activities.insert(t.activities.begin() + 1, instant);
+  const TraceFacts f = trace_facts(t);
+  EXPECT_EQ(f.bytes_down, 1'012'000);
+  EXPECT_EQ(f.bytes_up, 1'002'000);
+  EXPECT_DOUBLE_EQ(f.peak_down_rate_kbps, 2.0);
+  EXPECT_DOUBLE_EQ(f.peak_up_rate_kbps, 0.5);
+
+  // A zero-duration transfer is a valid outcome: it runs, adds no
+  // radio time of its own, and the report matches the frozen copy.
+  const PolicyOutcome o = in_place_outcome(t);
+  const RadioSet radios;
+  EXPECT_EQ(reference::report_mismatch(account(t, o, radios),
+                                       reference::account(t, o, radios)),
+            "");
+}
+
+TEST(TraceFacts, SingleActivity) {
+  UserTrace t = fixture();
+  t.activities.resize(1);
+  t.activities[0].duration = 500;
+  t.activities[0].bytes_down = 3000;
+  t.activities[0].bytes_up = 1000;
+  const TraceFacts f = trace_facts(t);
+  EXPECT_EQ(f.bytes_down, 3000);
+  EXPECT_EQ(f.bytes_up, 1000);
+  EXPECT_DOUBLE_EQ(f.peak_down_rate_kbps, 6.0);
+  EXPECT_DOUBLE_EQ(f.peak_up_rate_kbps, 2.0);
+}
+
+// ---- Impossible transfers ----
+
+TEST(Accounting, NegativeDurationThrows) {
+  // Unchecked, a negative transfer adds nothing to the executed set
+  // and its activity's energy silently vanishes from the report.
+  const UserTrace t = fixture();
+  PolicyOutcome o = in_place_outcome(t);
+  o.transfers.back().duration = -seconds(4);
+  EXPECT_THROW(account(t, o, RadioPowerParams::wcdma()), Error);
+  EXPECT_THROW(account(t, o, RadioSet{}), Error);
+}
+
+TEST(Accounting, DurationNearInt64MaxThrows) {
+  // start + duration overflows; the check must not form that sum.
+  const UserTrace t = fixture();
+  PolicyOutcome o = in_place_outcome(t);
+  o.transfers.back().duration = std::numeric_limits<DurationMs>::max();
+  EXPECT_THROW(account(t, o, RadioPowerParams::wcdma()), Error);
+  o.transfers.back().duration =
+      std::numeric_limits<DurationMs>::max() - o.transfers.back().start + 1;
+  EXPECT_THROW(account(t, o, RadioPowerParams::wcdma()), Error);
+}
+
+TEST(Accounting, TransferEndingAtHorizonAccepted) {
+  const UserTrace t = fixture();
+  PolicyOutcome o = in_place_outcome(t);
+  o.transfers.back().start = t.trace_end() - o.transfers.back().duration;
+  EXPECT_NO_THROW(account(t, o, RadioPowerParams::wcdma()));
+}
+
+// ---- Differential check against the frozen accountant ----
+
+/// Accounts `outcome` on both paths and requires bit-identical reports,
+/// or — when either side rejects the outcome — that both do. Outcomes
+/// with a negative or overflowing duration must be rejected by the
+/// production path even though the frozen copy accepted them.
+void expect_matches_frozen(const UserTrace& eval, const PolicyOutcome& outcome,
+                           const RadioSet& radios,
+                           const std::string& context) {
+  if (reference::has_impossible_transfer(outcome, eval.trace_end())) {
+    EXPECT_THROW(account(eval, outcome, radios), Error) << context;
+    return;
+  }
+  SimReport want;
+  try {
+    want = reference::account(eval, outcome, radios);
+  } catch (const Error&) {
+    EXPECT_THROW(account(eval, outcome, radios), Error) << context;
+    return;
+  }
+  const SimReport got = account(eval, trace_facts(eval), outcome, radios);
+  EXPECT_EQ(reference::report_mismatch(got, want), "") << context;
+}
+
+eval::ExperimentConfig oracle_config(std::uint64_t seed) {
+  eval::ExperimentConfig cfg;
+  cfg.train_days = 7;
+  cfg.eval_days = 3;
+  cfg.seed = seed;
+  return cfg;
+}
+
+RadioSet session_radios(const eval::ExperimentConfig& cfg) {
+  RadioSet radios;
+  radios.cellular = cfg.netmaster.profit.radio;
+  radios.wifi = cfg.netmaster.profit.wifi;
+  return radios;
+}
+
+TEST(AccountingOracle, EveryArchetypeAndPolicyMatchesFrozenCopy) {
+  for (int arch = 0; arch < 10; ++arch) {
+    for (const std::uint64_t seed : {3u, 17u}) {
+      const eval::ExperimentConfig cfg = oracle_config(seed);
+      const eval::VolunteerTraces traces = eval::make_traces(
+          synth::make_user(static_cast<synth::Archetype>(arch), 1), cfg);
+      const RadioSet radios = session_radios(cfg);
+      for (const eval::PolicySpec& spec :
+           eval::standard_policy_suite(cfg.netmaster)) {
+        const auto policy = spec.make(traces.training);
+        expect_matches_frozen(traces.eval, policy->run(traces.eval), radios,
+                              "archetype " + std::to_string(arch) +
+                                  " seed " + std::to_string(seed) + " " +
+                                  spec.name);
+      }
+    }
+  }
+}
+
+/// The eval trace corrupted by every fault kind at every chaos rate and
+/// seed, plus all kinds stacked.
+std::vector<std::pair<std::string, UserTrace>> chaos_eval_corpus(
+    const UserTrace& eval) {
+  std::vector<std::pair<std::string, UserTrace>> corpus;
+  for (const fault::FaultKind kind : fault::all_fault_kinds()) {
+    for (const double rate : {0.05, 0.2, 0.5}) {
+      for (const std::uint64_t seed : {1u, 7u, 31u}) {
+        fault::FaultPlan plan;
+        plan.seed = seed;
+        plan.with(kind, rate);
+        corpus.emplace_back(std::string(fault::kind_name(kind)) + " rate " +
+                                std::to_string(rate) + " seed " +
+                                std::to_string(seed),
+                            fault::inject_faults(eval, plan).trace);
+      }
+    }
+  }
+  fault::FaultPlan stacked;
+  stacked.seed = 99;
+  for (const fault::FaultKind kind : fault::all_fault_kinds()) {
+    stacked.with(kind, 0.3);
+  }
+  corpus.emplace_back("all kinds stacked",
+                      fault::inject_faults(eval, stacked).trace);
+  return corpus;
+}
+
+TEST(AccountingOracle, ChaosCorpusMatchesFrozenCopy) {
+  const eval::ExperimentConfig cfg = oracle_config(42);
+  const eval::VolunteerTraces traces = eval::make_traces(
+      synth::make_user(synth::Archetype::kOfficeWorker, 1), cfg);
+  const RadioSet radios = session_radios(cfg);
+  const auto suite = eval::standard_policy_suite(cfg.netmaster);
+  for (const auto& [name, corrupt] : chaos_eval_corpus(traces.eval)) {
+    // The raw corrupted trace, each activity executed where it lies
+    // (unsorted, negative or out-of-horizon timings included), with and
+    // without a data switch, blocked windows and duty probes.
+    PolicyOutcome raw = in_place_outcome(corrupt);
+    expect_matches_frozen(corrupt, raw, radios, name + " raw");
+    raw.blocked.add(seconds(3600), seconds(7200));
+    raw.wakes.push_back({seconds(5000), 2000, false});
+    raw.radio_allowed = IntervalSet{};
+    raw.radio_allowed->add(seconds(100), seconds(9000));
+    expect_matches_frozen(corrupt, raw, radios, name + " raw switched");
+
+    // The sanitized trace under the whole suite.
+    const UserTrace repaired = fault::sanitize_trace(corrupt).trace;
+    for (const eval::PolicySpec& spec : suite) {
+      const auto policy = spec.make(traces.training);
+      expect_matches_frozen(repaired, policy->run(repaired), radios,
+                            name + " " + spec.name);
+    }
+  }
+}
+
+TEST(AccountingOracle, WifiCoScheduledOutcomeMatchesFrozenCopy) {
+  const auto profile =
+      synth::make_user(synth::Archetype::kPodcastCommuter, 3);
+  const UserTrace full = synth::generate_trace(profile, 21, 42);
+  const UserTrace training = full.slice_days(0, 14);
+  const UserTrace eval = full.slice_days(14, 7);
+  policy::NetMasterConfig cfg;
+  cfg.enable_wifi_offload = true;
+  const PolicyOutcome o = policy::NetMasterPolicy(training, cfg).run(eval);
+  std::size_t wifi = 0;
+  for (const ExecutedTransfer& t : o.transfers) {
+    wifi += t.radio == RadioId::kWifi;
+  }
+  ASSERT_GT(wifi, 0u);
+  expect_matches_frozen(eval, o, RadioSet{}, "wifi co-scheduled");
 }
 
 }  // namespace

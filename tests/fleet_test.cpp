@@ -1,6 +1,7 @@
 // Tests for eval::run_fleet: grid shape and addressing, aggregate
 // consistency with the cells, agreement with the per-volunteer
-// comparison path, and thread-count determinism.
+// comparison path and with per-call accounting, and thread-count
+// determinism.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -8,6 +9,8 @@
 #include "common/error.hpp"
 #include "eval/experiments.hpp"
 #include "eval/fleet.hpp"
+#include "reference_accounting.hpp"
+#include "sim/accounting.hpp"
 #include "synth/presets.hpp"
 
 namespace netmaster::eval {
@@ -90,6 +93,41 @@ TEST(Fleet, MatchesPerVolunteerComparison) {
       EXPECT_DOUBLE_EQ(report.cell(u, p).energy_saving,
                        comparison.rows[p].energy_saving);
     }
+  }
+}
+
+TEST(Fleet, CellReportsEqualPerCallAccounting) {
+  // run_cell accounts with the session's per-user trace facts; the
+  // per-call overload recomputes them. Every report field must agree,
+  // doubles by bit pattern, and the session's baseline must equal the
+  // baseline cell.
+  const ExperimentConfig cfg = small_config();
+  const auto suite = standard_policy_suite(cfg.netmaster);
+  const EvalSession session(small_fleet(), cfg);
+  const FleetReport report = run_fleet(session, suite);
+  RadioSet radios;
+  radios.cellular = cfg.netmaster.profit.radio;
+  radios.wifi = cfg.netmaster.profit.wifi;
+
+  for (std::size_t u = 0; u < session.num_users(); ++u) {
+    const UserStore::Pin traces = session.traces(u);
+    const sim::TraceFacts facts = sim::trace_facts(traces.eval());
+    EXPECT_EQ(session.facts(u).horizon_ms, facts.horizon_ms);
+    EXPECT_EQ(session.facts(u).bytes_down, facts.bytes_down);
+    EXPECT_EQ(session.facts(u).screen_on_ms, facts.screen_on_ms);
+    for (std::size_t p = 0; p < suite.size(); ++p) {
+      const auto policy = suite[p].make(traces.training());
+      const sim::SimReport per_call = sim::account(
+          traces.eval(), policy->run(session.index(u)), radios);
+      EXPECT_EQ(reference::report_mismatch(report.cell(u, p).report,
+                                           per_call),
+                "")
+          << "user " << u << " / " << suite[p].name;
+    }
+    EXPECT_EQ(reference::report_mismatch(session.baseline(u),
+                                         report.cell(u, 0).report),
+              "")
+        << "baseline of user " << u;
   }
 }
 

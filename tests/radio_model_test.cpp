@@ -1,6 +1,6 @@
 // Tests for the RRC radio power model — hand-computed trajectories plus
 // monotonicity / aggregation properties, run through the production
-// accounting kernel (engine::account_interval_set).
+// accounting kernel (engine::account_intervals).
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -13,7 +13,14 @@
 namespace netmaster {
 namespace {
 
-using engine::account_interval_set;
+/// The production kernel over a canonical set's intervals.
+RadioAccounting account_interval_set(const IntervalSet& transfers,
+                                     const RadioModel& model,
+                                     TimeMs horizon_end,
+                                     const IntervalSet* allowed = nullptr) {
+  return engine::account_intervals(transfers.intervals(), model,
+                                   horizon_end, allowed);
+}
 
 constexpr TimeMs kHorizon = 10 * kMsPerMinute;
 

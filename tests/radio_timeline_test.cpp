@@ -194,9 +194,9 @@ TEST(RadioTimeline, RejectsNegativeHorizon) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential tests: the vectorized SoA accounting kernel
-// (account_columns / account_interval_set) against the reference
-// branchy implementation (tests/reference_accounting.hpp).
+// Differential tests: the interval-span accounting kernel
+// (account_intervals) against the reference branchy implementation
+// (tests/reference_accounting.hpp).
 // The contract is bit-for-bit equality — every integer field AND the
 // energy double — on every input.
 
@@ -226,7 +226,7 @@ void expect_matches_reference(const IntervalSet& transfers,
   const RadioAccounting want =
       reference::account_transfers(transfers, model, horizon, allowed);
   const RadioAccounting got =
-      account_interval_set(transfers, model, horizon, allowed);
+      account_intervals(transfers.intervals(), model, horizon, allowed);
   expect_accounting_equal(got, want, context);
 }
 
@@ -245,7 +245,7 @@ std::vector<RadioPowerParams> param_suite() {
   return suite;
 }
 
-TEST(AccountColumns, MatchesReferenceOnEdgeCases) {
+TEST(AccountIntervals, MatchesReferenceOnEdgeCases) {
   const TimeMs horizon = 100000;
   std::vector<std::pair<std::string, IntervalSet>> cases;
   cases.emplace_back("empty", IntervalSet{});
@@ -293,7 +293,7 @@ TEST(AccountColumns, MatchesReferenceOnEdgeCases) {
   }
 }
 
-TEST(AccountColumns, FuzzMatchesReference) {
+TEST(AccountIntervals, FuzzMatchesReference) {
   std::mt19937_64 rng(20260808);
   const std::vector<RadioPowerParams> params = param_suite();
   for (int iter = 0; iter < 400; ++iter) {
@@ -363,9 +363,9 @@ RadioModel random_model(std::mt19937_64& rng) {
   return m;
 }
 
-TEST(AccountColumns, ZeroLengthTailTiersDegenerate) {
+TEST(AccountIntervals, ZeroLengthTailTiersDegenerate) {
   // Every tail window empty: the connected period is exactly
-  // promo + active, and any gap re-promotes from idle. The vectorized
+  // promo + active, and any gap re-promotes from idle. The kernel's
   // tier scan must not divide the zero-width windows into spurious
   // residency or misclassify the promotion tier.
   RadioModel m = RadioModel::nr_cdrx();
@@ -397,7 +397,7 @@ TEST(AccountColumns, ZeroLengthTailTiersDegenerate) {
   expect_matches_reference(probes, hollow, 200000, nullptr, "hollow-tier");
 }
 
-TEST(AccountColumns, FuzzMatchesReferenceOnRandomTierModels) {
+TEST(AccountIntervals, FuzzMatchesReferenceOnRandomTierModels) {
   std::mt19937_64 rng(20260809);
   for (int iter = 0; iter < 400; ++iter) {
     const RadioModel model = random_model(rng);
@@ -430,12 +430,12 @@ TEST(AccountColumns, FuzzMatchesReferenceOnRandomTierModels) {
   }
 }
 
-TEST(AccountColumns, RejectsInvalidInputLikeReference) {
+TEST(AccountIntervals, RejectsInvalidInputLikeReference) {
   const RadioPowerParams params = RadioPowerParams::wcdma();
   {
     IntervalSet past;  // extends beyond the horizon
     past.add(500, 2000);
-    EXPECT_THROW(account_interval_set(past, params, 1000), Error);
+    EXPECT_THROW(account_intervals(past.intervals(), params, 1000), Error);
     EXPECT_THROW(reference::account_transfers(past, params, 1000), Error);
   }
   {
@@ -444,17 +444,12 @@ TEST(AccountColumns, RejectsInvalidInputLikeReference) {
     transfers.add(5000, 6000);
     IntervalSet allowed;
     allowed.add(100, 200);
-    EXPECT_THROW(account_interval_set(transfers, params, 10000, &allowed),
-                 Error);
+    EXPECT_THROW(
+        account_intervals(transfers.intervals(), params, 10000, &allowed),
+        Error);
     EXPECT_THROW(
         reference::account_transfers(transfers, params, 10000, &allowed),
         Error);
-  }
-  {
-    // Mismatched column lengths (the span entry point only).
-    const std::vector<TimeMs> begins = {0, 100};
-    const std::vector<TimeMs> ends = {50};
-    EXPECT_THROW(account_columns(begins, ends, params, 1000), Error);
   }
 }
 
