@@ -1,57 +1,13 @@
 #include "engine/trace_index.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
+#include "common/cursor.hpp"
 #include "common/error.hpp"
 #include "obs/span.hpp"
 
 namespace netmaster::engine {
-
-namespace {
-
-/// UserTrace::screen_on_at over a stream of instants. The binary search
-/// finds the first session with end > t; while the ends are sorted and
-/// t does not move backwards, that session only moves forward, so a
-/// cursor finds it in amortized O(1). A backwards t restarts the cursor
-/// with the binary search. Unsorted ends (a trace validate() rejects)
-/// take the binary search on every query, so every input gets the
-/// binary search's answer.
-class ScreenCursor {
- public:
-  explicit ScreenCursor(std::span<const ScreenSession> sessions)
-      : sessions_(sessions),
-        ends_sorted_(std::is_sorted(
-            sessions.begin(), sessions.end(),
-            [](const ScreenSession& a, const ScreenSession& b) {
-              return a.end < b.end;
-            })) {}
-
-  bool on_at(TimeMs t) {
-    if (!ends_sorted_ || t < last_) {
-      next_ = static_cast<std::size_t>(
-          std::lower_bound(sessions_.begin(), sessions_.end(), t,
-                           [](const ScreenSession& s, TimeMs v) {
-                             return s.end <= v;
-                           }) -
-          sessions_.begin());
-    } else {
-      while (next_ < sessions_.size() && sessions_[next_].end <= t) ++next_;
-    }
-    last_ = t;
-    return next_ < sessions_.size() && sessions_[next_].begin <= t &&
-           t < sessions_[next_].end;
-  }
-
- private:
-  std::span<const ScreenSession> sessions_;
-  bool ends_sorted_;
-  std::size_t next_ = 0;  ///< first session with end > last_
-  TimeMs last_ = std::numeric_limits<TimeMs>::min();
-};
-
-}  // namespace
 
 TraceIndex::TraceIndex(const UserTrace& trace)
     : trace_(&trace),
@@ -81,8 +37,9 @@ void TraceIndex::build(const UserTrace& trace, mem::Arena& arena) {
   auto [flags, flag_words] = mem::BitSpan::build(acts.size(), arena);
   deferrable_flags_ = flags;
   std::vector<std::uint32_t> deferrable;
+  CoverCursor<ScreenSession> screen(trace.sessions);
   for (std::size_t i = 0; i < acts.size(); ++i) {
-    if (acts.deferrable_at(i) && !columns_screen_on_at(acts.start_at(i))) {
+    if (acts.deferrable_at(i) && !screen.contains(acts.start_at(i))) {
       mem::BitSpan::set(flag_words, i);
       deferrable.push_back(static_cast<std::uint32_t>(i));
     }
@@ -116,10 +73,10 @@ void TraceIndex::fold_hour_buckets(const UserTrace& trace,
               static_cast<std::size_t>(hour_of(u.time))]
           .usage_count;
   }
-  ScreenCursor screen(trace.sessions);
+  CoverCursor<ScreenSession> screen(trace.sessions);
   for (const NetworkActivity& a : trace.activities) {
     if (a.start < 0 || a.start >= horizon) continue;
-    if (screen.on_at(a.start)) continue;  // screen-off only (Eq. 3)
+    if (screen.contains(a.start)) continue;  // screen-off only (Eq. 3)
     const std::size_t b =
         static_cast<std::size_t>(day_of(a.start)) * kHoursPerDay +
         static_cast<std::size_t>(hour_of(a.start));
@@ -143,7 +100,7 @@ const UserTrace& TraceIndex::trace() const {
   return *trace_;
 }
 
-bool TraceIndex::columns_screen_on_at(TimeMs t) const {
+bool TraceIndex::screen_on_at(TimeMs t) const {
   const std::span<const TimeMs> ends = columns_.sessions.ends();
   const auto it = std::lower_bound(ends.begin(), ends.end(), t,
                                    [](TimeMs end, TimeMs v) {
@@ -152,29 +109,6 @@ bool TraceIndex::columns_screen_on_at(TimeMs t) const {
   if (it == ends.end()) return false;
   const std::size_t i = static_cast<std::size_t>(it - ends.begin());
   return columns_.sessions.begin_at(i) <= t && t < *it;
-}
-
-bool TraceIndex::screen_on_at(TimeMs t) const {
-  return columns_screen_on_at(t);
-}
-
-std::size_t TraceIndex::first_session_at_or_after(TimeMs t) const {
-  const std::span<const TimeMs> begins = columns_.sessions.begins();
-  const auto it = std::lower_bound(begins.begin(), begins.end(), t);
-  return static_cast<std::size_t>(it - begins.begin());
-}
-
-TimeMs TraceIndex::next_session_begin(TimeMs t, TimeMs fallback) const {
-  const std::size_t idx = first_session_at_or_after(t);
-  return idx < columns_.sessions.size() ? columns_.sessions.begin_at(idx)
-                                        : fallback;
-}
-
-TimeMs TraceIndex::last_session_begin_in(TimeMs lo, TimeMs hi) const {
-  std::size_t idx = first_session_at_or_after(hi);
-  if (idx == 0) return -1;
-  const TimeMs begin = columns_.sessions.begin_at(idx - 1);
-  return begin >= lo ? begin : -1;
 }
 
 const TraceIndex::HourBucket& TraceIndex::bucket(int day, int hour) const {

@@ -78,22 +78,13 @@ class TraceIndex {
   const mem::UsageColumns& usages() const { return columns_.usages; }
   const mem::AppNameTable& app_names() const { return columns_.app_names; }
 
-  // ---- Session lookups (binary search over the sorted columns). ----
+  // ---- Session lookups. ----
 
   /// True when the screen is on at instant t (same contract as
-  /// UserTrace::screen_on_at).
+  /// UserTrace::screen_on_at): one binary search over the session
+  /// ends. Replay passes that query in time order walk sessions() with
+  /// a SortedCursor or CoverCursor (common/cursor.hpp) instead.
   bool screen_on_at(TimeMs t) const;
-
-  /// Index of the first session with begin >= t; sessions().size()
-  /// when none.
-  std::size_t first_session_at_or_after(TimeMs t) const;
-
-  /// Begin of the first session with begin >= t, or `fallback` when
-  /// no session starts at or after t.
-  TimeMs next_session_begin(TimeMs t, TimeMs fallback) const;
-
-  /// Begin of the last session starting inside [lo, hi); -1 when none.
-  TimeMs last_session_begin_in(TimeMs lo, TimeMs hi) const;
 
   // ---- Activity classification (computed once at construction). ----
 
@@ -147,7 +138,6 @@ class TraceIndex {
 
  private:
   void build(const UserTrace& trace, mem::Arena& arena);
-  bool columns_screen_on_at(TimeMs t) const;
 
   const UserTrace* trace_ = nullptr;
   mem::LifetimeHandle source_;

@@ -31,7 +31,9 @@ sim::PolicyOutcome BatchPolicy::run(const engine::TraceIndex& eval) const {
   auto flush = [&](TimeMs at) {
     for (const Pending& p : queue) {
       const DurationMs dur = deferred_duration(p.duration);
-      const TimeMs release = clamp_release(at, dur, horizon, p.arrival);
+      const TimeMs release = deferral_fits(p.arrival, dur, horizon)
+                                 ? clamp_release(at, dur, horizon, p.arrival)
+                                 : p.arrival;
       if (release > p.arrival) {
         outcome.transfers.push_back({p.index, release, dur});
         outcome.blocked.add(p.arrival, release);

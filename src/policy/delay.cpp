@@ -33,7 +33,10 @@ sim::PolicyOutcome DelayPolicy::run(const engine::TraceIndex& eval) const {
     const TimeMs window_end =
         (act.start / interval_ms_ + 1) * interval_ms_;
     const DurationMs dur = deferred_duration(act.duration);
-    const TimeMs release = clamp_release(window_end, dur, horizon, act.start);
+    const TimeMs release =
+        deferral_fits(act.start, dur, horizon)
+            ? clamp_release(window_end, dur, horizon, act.start)
+            : act.start;
     if (release > act.start) {
       outcome.transfers.push_back({i, release, dur});
       outcome.blocked.add(act.start, release);

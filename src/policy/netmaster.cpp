@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
 #include <utility>
 #include <vector>
 
+#include "common/cursor.hpp"
 #include "common/error.hpp"
 #include "engine/radio_timeline.hpp"
 #include "obs/metrics.hpp"
@@ -45,16 +45,30 @@ struct NetMasterMetrics {
   }
 };
 
-/// Releases a fallback activity at the radio opportunity `at` (never
-/// before its arrival, always inside the horizon).
+/// Index of the first session beginning at or after t, over a stream
+/// of instants.
+using SessionCursor = SortedCursor<TimeMs, Seek::kFirstAtOrAfter>;
+
+/// Release of a deferred copy of `dur` ms aimed at `at`: never before
+/// the arrival and ending by the horizon, or the arrival itself (the
+/// caller runs the activity in place) when the copy cannot end by the
+/// horizon.
+TimeMs deferred_release(TimeMs at, TimeMs arrival, DurationMs dur,
+                        TimeMs horizon) {
+  return deferral_fits(arrival, dur, horizon)
+             ? std::clamp<TimeMs>(at, arrival, horizon - dur)
+             : arrival;
+}
+
+/// Releases a fallback activity at the radio opportunity `at` (see
+/// deferred_release).
 void release_fallback(sim::PolicyOutcome& outcome,
                       const std::vector<NetworkActivity>& pending,
                       const std::vector<std::size_t>& pending_index,
                       std::size_t p, TimeMs at, TimeMs horizon) {
   const NetworkActivity& act = pending[p];
   const DurationMs dur = deferred_duration(act.duration);
-  const TimeMs release = std::clamp<TimeMs>(
-      std::max(at, act.start), act.start, horizon - dur);
+  const TimeMs release = deferred_release(at, act.start, dur, horizon);
   if (release > act.start) {
     outcome.transfers.push_back({pending_index[p], release, dur});
     outcome.deferral_latency_s.push_back(to_seconds(release - act.start));
@@ -200,11 +214,17 @@ sim::PolicyOutcome NetMasterPolicy::run(
   // ---- Classification pass. ----
   // Deferrable screen-off activities are held for a real radio-on
   // opportunity; everything else runs untouched.
+  // Activities arrive in time order, so one cursor per sorted column
+  // answers the slot and session lookups (common/cursor.hpp).
   std::vector<NetworkActivity> pending;     // outside U: knapsack path
   std::vector<std::size_t> pending_index;   // -> eval activity index
+  outcome.transfers.reserve(activities.size());
+  CoverCursor<Interval> slot_at(slot_windows);
+  SessionCursor session_from_arrival(sessions.begins());
   for (std::size_t i = 0; i < activities.size(); ++i) {
     const NetworkActivity act = activities[i];
-    const bool in_slot = active.contains(act.start);
+    const std::size_t slot = slot_at.find(act.start);
+    const bool in_slot = slot < slot_windows.size();
     if (eval.is_deferrable_screen_off(i)) {
       if (!in_slot) {
         pending.push_back(act);
@@ -220,15 +240,11 @@ sim::PolicyOutcome NetMasterPolicy::run(
       // Inside a predicted active slot: the user is expected soon. Hold
       // the transfer for the next real session; if the user never shows
       // before the slot closes, run at the slot boundary.
-      TimeMs release = eval.next_session_begin(act.start, horizon);
-      const auto slot = std::lower_bound(
-          slot_windows.begin(), slot_windows.end(), act.start,
-          [](const Interval& s, TimeMs t) { return s.end <= t; });
-      NM_ASSERT(slot != slot_windows.end() && slot->contains(act.start),
-                "active-set lookup must find the containing slot");
+      const std::size_t next = session_from_arrival.seek(act.start);
+      TimeMs release = next < num_sessions ? sessions.begin_at(next) : horizon;
       const DurationMs dur = deferred_duration(act.duration);
-      release = std::min(release, slot->end);
-      release = std::clamp<TimeMs>(release, act.start, horizon - dur);
+      release = deferred_release(std::min(release, slot_windows[slot].end),
+                                 act.start, dur, horizon);
       if (release > act.start) {
         outcome.transfers.push_back({i, release, dur});
         outcome.deferral_latency_s.push_back(
@@ -252,7 +268,7 @@ sim::PolicyOutcome NetMasterPolicy::run(
   }
 
   // ---- Knapsack scheduling over the pending set (§IV, Algorithm 1). ----
-  std::map<std::size_t, int> assignment;  // pending idx -> slot index
+  std::vector<int> assignment(pending.size(), -1);  // pending -> slot
   if ((!slot_windows.empty() || !wifi_windows.empty()) && !pending.empty()) {
     // With no Wi-Fi windows the multi-radio builder reduces exactly to
     // build_instance; call the single-radio builder anyway so the
@@ -276,21 +292,27 @@ sim::PolicyOutcome NetMasterPolicy::run(
   }
 
   std::vector<std::size_t> fallback;  // pending indices for duty path
+  SessionCursor session_after_arrival(sessions.begins());
+  SessionCursor session_after_slot(sessions.begins());
   for (std::size_t p = 0; p < pending.size(); ++p) {
     const NetworkActivity& act = pending[p];
-    const auto it = assignment.find(p);
-    if (it == assignment.end()) {
+    if (assignment[p] < 0) {
       fallback.push_back(p);
       continue;
     }
-    if (static_cast<std::size_t>(it->second) >= slot_windows.size()) {
+    const auto assigned = static_cast<std::size_t>(assignment[p]);
+    if (assigned >= slot_windows.size()) {
       // Wi-Fi offload: the same bytes execute on the WLAN inside the
       // assigned presence window — immediately when the arrival is
       // already covered, at the window's begin otherwise. Wi-Fi does
       // not ride the cellular data switch, so no session search.
-      const Interval& win = wifi_windows[static_cast<std::size_t>(
-          it->second) - slot_windows.size()];
+      const Interval& win = wifi_windows[assigned - slot_windows.size()];
       const DurationMs dur = sched::wifi_transfer_ms(act, config_.profit);
+      if (!deferral_fits(act.start, dur, horizon)) {
+        outcome.transfers.push_back(
+            {pending_index[p], act.start, act.duration});
+        continue;
+      }
       const TimeMs release = std::clamp<TimeMs>(
           std::max(act.start, win.begin), act.start, horizon - dur);
       outcome.transfers.push_back(
@@ -301,16 +323,20 @@ sim::PolicyOutcome NetMasterPolicy::run(
       }
       continue;
     }
-    const Interval& slot =
-        slot_windows[static_cast<std::size_t>(it->second)];
+    const Interval& slot = slot_windows[assigned];
     const DurationMs dur = deferred_duration(act.duration);
     TimeMs release;
     if (slot.end <= act.start) {
       // Prefetch into the preceding slot: the app is triggered to sync
       // while the user is active, during a real session late in the
-      // slot; if the user never appeared, at the slot boundary.
+      // slot; if the user never appeared, at the slot boundary. `after`
+      // is the first session at or after the slot's end, so the one
+      // before it is the last to begin inside the slot, if any.
+      const std::size_t after = session_after_slot.seek(slot.end);
       const TimeMs sess_begin =
-          eval.last_session_begin_in(slot.begin, slot.end);
+          after > 0 && sessions.begin_at(after - 1) >= slot.begin
+              ? sessions.begin_at(after - 1)
+              : -1;
       release = sess_begin >= 0
                     ? sess_begin
                     : std::max(slot.begin, slot.end - dur);
@@ -322,13 +348,13 @@ sim::PolicyOutcome NetMasterPolicy::run(
     // after the arrival (the real-time adjustment powers the radio for
     // any session, even one before the slot). If no session shows up by
     // the slot's end, run at the planned slot begin.
-    const std::size_t sess = eval.first_session_at_or_after(act.start);
+    const std::size_t sess = session_after_arrival.seek(act.start);
     if (sess < num_sessions && sessions.begin_at(sess) <= slot.end) {
       release = sessions.begin_at(sess);
     } else {
       release = slot.begin;
     }
-    release = std::clamp<TimeMs>(release, act.start, horizon - dur);
+    release = deferred_release(release, act.start, dur, horizon);
     if (release > act.start) {
       outcome.transfers.push_back({pending_index[p], release, dur});
       outcome.deferral_latency_s.push_back(
@@ -360,14 +386,17 @@ sim::PolicyOutcome NetMasterPolicy::run(
   if (!config_.enable_duty) {
     // Ablation: no probes; fall back to the next predicted slot or real
     // session, else run in place.
+    SortedCursor<Interval, Seek::kFirstAfter, BeginKey> next_slot(
+        slot_windows);
+    SessionCursor next_session(sessions.begins());
     for (std::size_t p : fallback) {
       const NetworkActivity& act = pending[p];
       TimeMs release = act.start;
-      const auto after = std::upper_bound(
-          slot_windows.begin(), slot_windows.end(), act.start,
-          [](TimeMs t, const Interval& s) { return t < s.begin; });
-      if (after != slot_windows.end()) release = after->begin;
-      const TimeMs sess_begin = eval.next_session_begin(act.start, horizon);
+      const std::size_t after = next_slot.seek(act.start);
+      if (after < slot_windows.size()) release = slot_windows[after].begin;
+      const std::size_t sess = next_session.seek(act.start);
+      const TimeMs sess_begin =
+          sess < num_sessions ? sessions.begin_at(sess) : horizon;
       if (sess_begin < release) release = sess_begin;
       release_fallback(outcome, pending, pending_index, p, release,
                        horizon);
@@ -377,10 +406,11 @@ sim::PolicyOutcome NetMasterPolicy::run(
 
   auto next_fb = fallback.begin();
   const IntervalSet inactive = active.complement(0, horizon);
+  SessionCursor window_session(sessions.begins());
   for (const Interval& window : inactive.intervals()) {
     duty::DutyCycler cycler(config_.duty);
     cycler.reset(window.begin);
-    std::size_t sess = eval.first_session_at_or_after(window.begin);
+    std::size_t sess = window_session.seek(window.begin);
 
     while (true) {
       const TimeMs wake = cycler.next_wake();

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/cursor.hpp"
 #include "engine/radio_timeline.hpp"
 
 namespace netmaster::policy {
@@ -26,6 +27,11 @@ sim::PolicyOutcome OraclePolicy::run(const engine::TraceIndex& eval) const {
         sched::slot_capacity_bytes(s.interval(), profit_));
   }
 
+  // Deferrable arrivals come in time order: one forward cursor finds
+  // each one's neighbouring sessions.
+  outcome.transfers.reserve(activities.size());
+  SortedCursor<TimeMs, Seek::kFirstAtOrAfter> session_after(
+      sessions.begins());
   for (std::size_t i = 0; i < activities.size(); ++i) {
     const NetworkActivity act = activities[i];
     if (!eval.is_deferrable_screen_off(i) || sessions.empty()) {
@@ -34,7 +40,7 @@ sim::PolicyOutcome OraclePolicy::run(const engine::TraceIndex& eval) const {
     }
 
     // Nearest sessions before/after the arrival.
-    const std::size_t after = eval.first_session_at_or_after(act.start);
+    const std::size_t after = session_after.seek(act.start);
     const std::ptrdiff_t next_idx =
         after == sessions.size() ? -1 : static_cast<std::ptrdiff_t>(after);
     const std::ptrdiff_t prev_idx =

@@ -54,6 +54,16 @@ bool is_deferrable_screen_off(const UserTrace& trace,
 TimeMs clamp_release(TimeMs release, DurationMs duration, TimeMs horizon,
                      TimeMs not_before);
 
+/// True when a deferred copy of `duration` ms that may not start before
+/// `not_before` can still end by `horizon`. Compared without forming
+/// not_before + duration, which overflows for durations near INT64_MAX.
+/// A deferred copy that cannot fit runs in place instead: its original
+/// schedule always fits a valid trace.
+inline bool deferral_fits(TimeMs not_before, DurationMs duration,
+                          TimeMs horizon) {
+  return duration <= horizon - not_before;
+}
+
 /// How long a radio-switch-driving policy (NetMaster, oracle) keeps the
 /// radio up after a transfer before forcing dormancy — the release
 /// signalling delay of the §IV-C.2 real-time adjustment ("turning off

@@ -117,8 +117,12 @@ class SchedWorkspace {
   std::vector<std::vector<KnapItem>> slot_items;  ///< duplicated itemsets
   std::vector<std::vector<int>> chosen_per_slot;
   /// Flat id→item index, sorted by id: replaces the per-call
-  /// `std::map<int, const OverlapItem*>`s.
+  /// `std::map<int, const OverlapItem*>`s. When the ids are dense and
+  /// ascending (what build_instance emits), id_dense is set, the index
+  /// is the input order and an id's position is id − id_base.
   std::vector<std::pair<int, const OverlapItem*>> id_index;
+  bool id_dense = false;
+  int id_base = 0;
   std::vector<int> cand_slot[2];          ///< per item: chosen slots
   std::vector<std::uint8_t> cand_count;   ///< per item: 0, 1 or 2
   std::vector<std::uint8_t> assigned;     ///< per item: taken flag

@@ -244,6 +244,12 @@ OnlineSimResult run_online(const UserTrace& training,
 
   auto execute = [&](std::size_t activity, TimeMs at, DurationMs duration,
                      TimeMs arrival) {
+    if (!policy::deferral_fits(arrival, duration, horizon)) {
+      // A deferred copy that cannot end by the horizon runs in place.
+      out.transfers.push_back(
+          {activity, arrival, eval.activities[activity].duration});
+      return;
+    }
     const TimeMs release = std::clamp<TimeMs>(
         std::max(at, arrival), arrival, horizon - duration);
     out.transfers.push_back({activity, release, duration});

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/cursor.hpp"
 #include "common/error.hpp"
 #include "engine/radio_timeline.hpp"
 
@@ -148,8 +149,13 @@ SimReport account(const UserTrace& eval, const TraceFacts& facts,
 
   // User experience.
   report.total_usages = facts.total_usages;
-  for (const AppUsage& u : eval.usages) {
-    if (outcome.blocked.contains(u.time)) ++report.affected_usages;
+  // Usages come in time order: one forward cursor over the blocked
+  // windows answers IntervalSet::contains for each (common/cursor.hpp).
+  if (!outcome.blocked.empty()) {
+    CoverCursor<Interval> blocked(outcome.blocked.intervals());
+    for (const AppUsage& u : eval.usages) {
+      if (blocked.contains(u.time)) ++report.affected_usages;
+    }
   }
   report.interrupts = outcome.interrupts;
   if (report.total_usages > 0) {

@@ -5,6 +5,7 @@
 // tests/reference_accounting.hpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -12,11 +13,13 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "eval/fleet.hpp"
 #include "eval/session.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "fault/sanitize.hpp"
+#include "policy/delay.hpp"
 #include "policy/netmaster.hpp"
 #include "reference_accounting.hpp"
 #include "sim/accounting.hpp"
@@ -479,6 +482,40 @@ TEST(AccountingOracle, ChaosCorpusMatchesFrozenCopy) {
       const auto policy = spec.make(traces.training);
       expect_matches_frozen(repaired, policy->run(repaired), radios,
                             name + " " + spec.name);
+    }
+  }
+}
+
+TEST(AccountingOracle, UnsortedUsagesMatchFrozenCopy) {
+  // The affected-usage count walks the usages with a forward cursor
+  // over the blocked windows; usages out of time order re-seek it.
+  // Fixed-interval delays block windows that reach into screen
+  // sessions, so usages land in them; every shuffle of
+  // the usages must count what the frozen copy counts.
+  const eval::ExperimentConfig cfg = oracle_config(5);
+  const RadioSet radios = session_radios(cfg);
+  Rng rng(5);
+  for (const synth::Archetype arch :
+       {synth::Archetype::kHeavyMessenger, synth::Archetype::kStudent}) {
+    const eval::VolunteerTraces traces =
+        eval::make_traces(synth::make_user(arch, 2), cfg);
+    for (const DurationMs interval : {seconds(60), seconds(600)}) {
+      const PolicyOutcome o = policy::DelayPolicy(interval).run(traces.eval);
+      ASSERT_FALSE(o.blocked.empty());
+      UserTrace eval = traces.eval;
+      expect_matches_frozen(eval, o, radios, "sorted");
+      ASSERT_GT(account(eval, o, radios).affected_usages, 0u);
+      std::reverse(eval.usages.begin(), eval.usages.end());
+      expect_matches_frozen(eval, o, radios, "reversed");
+      for (int shuffle = 0; shuffle < 3; ++shuffle) {
+        for (std::size_t i = eval.usages.size(); i > 1; --i) {
+          std::swap(eval.usages[i - 1],
+                    eval.usages[static_cast<std::size_t>(rng.uniform_int(
+                        0, static_cast<std::int64_t>(i) - 1))]);
+        }
+        expect_matches_frozen(eval, o, radios,
+                              "shuffle " + std::to_string(shuffle));
+      }
     }
   }
 }

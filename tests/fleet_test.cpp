@@ -4,6 +4,9 @@
 // determinism.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -259,6 +262,98 @@ TEST(Fleet, SlicePoliciesExtractsColumns) {
               report.aggregates[1].energy_saving.mean(), 1e-12);
   EXPECT_THROW(slice_policies(session, report, 0, 0), Error);
   EXPECT_THROW(slice_policies(session, report, 5, 2), Error);
+}
+
+
+/// FNV-1a over every SimReport field of every cell (doubles by bit
+/// pattern, strings byte by byte) plus the failure flag, user-major.
+std::uint64_t full_report_hash(const FleetReport& report) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (i * 8)) & 0xffULL;
+      h *= 1099511628211ULL;
+    }
+  };
+  auto mix_double = [&mix](double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    mix(bits);
+  };
+  auto mix_string = [&mix](const std::string& s) {
+    mix(s.size());
+    for (const char c : s) mix(static_cast<unsigned char>(c));
+  };
+  auto mix_radio = [&](const RadioAccounting& r) {
+    mix_double(r.energy_j);
+    mix(static_cast<std::uint64_t>(r.radio_on_ms));
+    mix(static_cast<std::uint64_t>(r.active_ms));
+    for (const DurationMs t : r.tail_tier_ms) {
+      mix(static_cast<std::uint64_t>(t));
+    }
+    mix(static_cast<std::uint64_t>(r.promo_ms));
+    mix(static_cast<std::uint64_t>(r.assoc_ms));
+    mix(static_cast<std::uint64_t>(r.promotions));
+    mix(static_cast<std::uint64_t>(r.associations));
+  };
+  for (const FleetCell& cell : report.cells) {
+    mix(cell.failed ? 1 : 0);
+    const sim::SimReport& r = cell.report;
+    mix_string(r.policy_name);
+    mix_double(r.energy_j);
+    mix_double(r.transfer_energy_j);
+    mix_double(r.duty_energy_j);
+    mix(static_cast<std::uint64_t>(r.radio_on_ms));
+    mix_radio(r.radio);
+    mix(r.wake_count);
+    mix_double(r.wifi_energy_j);
+    mix(static_cast<std::uint64_t>(r.wifi_on_ms));
+    mix_radio(r.wifi);
+    mix(r.wifi_transfer_count);
+    mix(static_cast<std::uint64_t>(r.bytes_down));
+    mix(static_cast<std::uint64_t>(r.bytes_up));
+    mix_double(r.avg_down_rate_kbps);
+    mix_double(r.avg_up_rate_kbps);
+    mix_double(r.peak_down_rate_kbps);
+    mix_double(r.peak_up_rate_kbps);
+    mix(r.total_usages);
+    mix(r.affected_usages);
+    mix(r.interrupts);
+    mix_double(r.affected_fraction);
+    mix_double(r.mean_deferral_latency_s);
+    mix(r.deferred_count);
+    mix(static_cast<std::uint64_t>(r.horizon_ms));
+    mix(static_cast<std::uint64_t>(r.screen_on_ms));
+    mix(r.degraded ? 1 : 0);
+    mix_string(r.degraded_reason);
+    mix_double(r.drift_score);
+  }
+  return h;
+}
+
+TEST(Fleet, FullReportGolden) {
+  // Every SimReport field of the standard suite over two users of each
+  // archetype (14 training + 7 evaluation days). The value was recorded
+  // before the replay cursors replaced the per-element binary searches;
+  // a change that moves any field — affected usages, interrupts,
+  // deferral latencies, wakes, the radio breakdown — breaks it, even
+  // when every energy stays put. Regenerate only for an intended
+  // behaviour change.
+  constexpr int kArchetypes = 10;
+  std::vector<synth::UserProfile> users;
+  for (int u = 0; u < 2 * kArchetypes; ++u) {
+    users.push_back(
+        synth::make_user(static_cast<synth::Archetype>(u % kArchetypes), u));
+  }
+  ExperimentConfig cfg;
+  cfg.train_days = 14;
+  cfg.eval_days = 7;
+  cfg.seed = 7;
+  const FleetReport report =
+      run_fleet(users, standard_policy_suite(cfg.netmaster), cfg);
+  ASSERT_EQ(report.cells.size(), 20u * 6u);
+  EXPECT_EQ(report.failures.size(), 0u);
+  EXPECT_EQ(full_report_hash(report), 0x4bdea62108977de7ULL);
 }
 
 }  // namespace

@@ -2,12 +2,24 @@
 // (delay, batch, delay&batch).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
+#include "eval/fleet.hpp"
 #include "policy/baseline.hpp"
 #include "policy/batch.hpp"
 #include "policy/delay.hpp"
 #include "policy/delay_batch.hpp"
+#include "policy/netmaster.hpp"
 #include "policy/policy.hpp"
+#include "service/online_sim.hpp"
+#include "sim/accounting.hpp"
+#include "synth/generator.hpp"
+#include "synth/presets.hpp"
 
 namespace netmaster::policy {
 namespace {
@@ -220,6 +232,106 @@ TEST(AllFixedPolicies, ExecuteEveryActivityExactlyOnce) {
       seen[tr.activity_index] = true;
     }
   }
+}
+
+
+TEST(Helpers, DeferralFits) {
+  EXPECT_TRUE(deferral_fits(200, 100, 1000));
+  EXPECT_TRUE(deferral_fits(900, 100, 1000));   // ends at the horizon
+  EXPECT_FALSE(deferral_fits(901, 100, 1000));
+  EXPECT_FALSE(deferral_fits(0, std::numeric_limits<DurationMs>::max(),
+                             1000));  // no overflow
+}
+
+// A trace that passes validate() with one deferrable screen-off
+// activity 100 ms before its end, lasting 10 ms: the 500 ms deferred
+// copy cannot end by the horizon, so every deferring path must run the
+// activity in place rather than throw or clamp with an empty range.
+TEST(HorizonEdge, DeferredCopyThatCannotFitRunsInPlace) {
+  const UserTrace training = synth::generate_trace(
+      synth::make_user(synth::Archetype::kOfficeWorker, 1), 14, 7);
+  UserTrace eval;
+  eval.user = training.user;
+  eval.num_days = 1;
+  eval.app_names = training.app_names;
+  NetworkActivity act;
+  act.app = 0;
+  act.start = eval.trace_end() - 100;
+  act.duration = 10;
+  act.bytes_down = 1000;
+  act.deferrable = true;
+  eval.activities = {act};
+  ASSERT_NO_THROW(eval.validate());
+
+  struct Case {
+    std::string name;
+    std::unique_ptr<Policy> policy;
+    bool may_prefetch;  ///< NetMaster may move it into an earlier slot
+  };
+  std::vector<Case> cases;
+  const eval::ExperimentConfig cfg;
+  for (const eval::PolicySpec& spec :
+       eval::standard_policy_suite(cfg.netmaster)) {
+    cases.push_back({spec.name, spec.make(training),
+                     spec.name == "netmaster"});
+  }
+  cases.push_back({"delay", std::make_unique<DelayPolicy>(seconds(60)),
+                   false});
+  cases.push_back({"batch", std::make_unique<BatchPolicy>(5), false});
+  NetMasterConfig no_prediction = cfg.netmaster;
+  no_prediction.enable_prediction = false;  // duty-cycle path only
+  cases.push_back({"netmaster/duty",
+                   std::make_unique<NetMasterPolicy>(training, no_prediction),
+                   false});
+  NetMasterConfig no_duty = no_prediction;
+  no_duty.enable_duty = false;
+  cases.push_back({"netmaster/no-duty",
+                   std::make_unique<NetMasterPolicy>(training, no_duty),
+                   false});
+  cases.push_back({"netmaster/degraded",
+                   std::make_unique<NetMasterPolicy>(
+                       training.slice_days(0, 1), cfg.netmaster),
+                   false});
+
+  RadioSet radios;
+  radios.cellular = cfg.netmaster.profit.radio;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    sim::PolicyOutcome o;
+    ASSERT_NO_THROW(o = c.policy->run(eval));
+    ASSERT_EQ(o.transfers.size(), 1u);
+    const sim::ExecutedTransfer& t = o.transfers.front();
+    if (!c.may_prefetch || t.start >= act.start) {
+      EXPECT_EQ(t.start, act.start);
+      EXPECT_EQ(t.duration, act.duration);
+    }
+    EXPECT_TRUE(o.blocked.empty());
+    EXPECT_NO_THROW(sim::account(eval, o, radios));
+  }
+  // The online event loop releases held transfers through the same
+  // rule.
+  for (const bool prediction : {true, false}) {
+    NetMasterConfig online = cfg.netmaster;
+    online.enable_prediction = prediction;
+    const sim::PolicyOutcome o =
+        service::run_online(training, eval, online).outcome;
+    ASSERT_EQ(o.transfers.size(), 1u);
+    EXPECT_EQ(o.transfers.front().start, act.start) << prediction;
+    EXPECT_NO_THROW(sim::account(eval, o, radios));
+  }
+
+  const auto* degraded =
+      dynamic_cast<const NetMasterPolicy*>(cases.back().policy.get());
+  ASSERT_NE(degraded, nullptr);
+  EXPECT_TRUE(degraded->degraded());
+  const auto standard = std::find_if(
+      cases.begin(), cases.end(),
+      [](const Case& c) { return c.name == "netmaster"; });
+  ASSERT_NE(standard, cases.end());
+  const auto* normal =
+      dynamic_cast<const NetMasterPolicy*>(standard->policy.get());
+  ASSERT_NE(normal, nullptr);
+  EXPECT_FALSE(normal->degraded());
 }
 
 }  // namespace

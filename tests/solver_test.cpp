@@ -9,6 +9,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -244,6 +245,96 @@ TEST(FrozenLegacy, DefaultPathIsBitForBit) {
     EXPECT_EQ(stats.slot_solves_fptas, inst.slots.size());
     EXPECT_EQ(stats.slot_solves_exact, 0u);
     EXPECT_EQ(stats.slot_solves_greedy, 0u);
+  }
+}
+
+/// `inst` with its items relabelled: item i (in input order) gets
+/// ids[i].
+OverlapInstance relabelled(OverlapInstance inst, const std::vector<int>& ids) {
+  for (std::size_t i = 0; i < inst.items.size(); ++i) {
+    inst.items[i].id = ids[i];
+  }
+  return inst;
+}
+
+TEST(DenseIdIndex, EveryIdLayoutMatchesFrozenLegacy) {
+  // build_instance emits dense ascending ids, which skip the id sort;
+  // every other layout takes the sorted index. One workspace serves
+  // all of them in turn, so a flag left over from the previous solve
+  // would show.
+  Rng rng(99);
+  SchedWorkspace ws;
+  const SolverOptions options;
+  constexpr int kMax = std::numeric_limits<int>::max();
+  constexpr int kMin = std::numeric_limits<int>::min();
+  for (int run = 0; run < 60; ++run) {
+    const int n_slots = static_cast<int>(rng.uniform_int(2, 8));
+    const int n = static_cast<int>(rng.uniform_int(1, 40));
+    const OverlapInstance base = random_instance(rng, n, n_slots);
+    std::vector<std::vector<int>> layouts;
+    for (const int first : {0, 1000, kMax - n + 1, kMin, -n / 2}) {
+      std::vector<int> ids(static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i) ids[static_cast<std::size_t>(i)] = first + i;
+      layouts.push_back(ids);  // dense ascending
+    }
+    {  // dense ids, shuffled input order
+      std::vector<int> ids = layouts.front();
+      for (std::size_t i = ids.size(); i > 1; --i) {
+        std::swap(ids[i - 1], ids[static_cast<std::size_t>(rng.uniform_int(
+                                  0, static_cast<std::int64_t>(i) - 1))]);
+      }
+      layouts.push_back(ids);
+    }
+    {  // one gap
+      std::vector<int> ids = layouts.front();
+      const auto gap = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+      for (std::size_t i = gap; i < ids.size(); ++i) ++ids[i];
+      layouts.push_back(ids);
+    }
+    {  // descending near INT_MAX
+      std::vector<int> ids(static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i) ids[static_cast<std::size_t>(i)] = kMax - i;
+      layouts.push_back(ids);
+    }
+    for (std::size_t l = 0; l < layouts.size(); ++l) {
+      const OverlapInstance inst = relabelled(base, layouts[l]);
+      const OverlapSolution want =
+          legacy::solve_overlapped(inst.slots, inst.items, 0.1);
+      SCOPED_TRACE("run " + std::to_string(run) + " layout " +
+                   std::to_string(l));
+      expect_same_solution(
+          want, solve_overlapped(inst.slots, inst.items, options, ws));
+      EXPECT_NO_THROW(check_feasible(inst.slots, inst.items, want));
+    }
+  }
+}
+
+TEST(DenseIdIndex, DuplicateIdsStillRejected) {
+  const std::vector<OverlapSlot> slots = {{0, 100}, {1, 100}};
+  auto item = [](int id) { return OverlapItem{id, 10, 1.0, 0, 1}; };
+  SchedWorkspace ws;
+  const SolverOptions options;
+  // A dense prefix followed by a repeat, a repeat at the front, and a
+  // repeat at INT_MAX.
+  constexpr int kMax = std::numeric_limits<int>::max();
+  for (const std::vector<OverlapItem>& items :
+       {std::vector<OverlapItem>{item(0), item(1), item(2), item(2)},
+        std::vector<OverlapItem>{item(5), item(5)},
+        std::vector<OverlapItem>{item(kMax - 1), item(kMax), item(kMax)}}) {
+    EXPECT_THROW(solve_overlapped(slots, items, options, ws), Error);
+    EXPECT_THROW(
+        check_feasible(slots, items, OverlapSolution{{}, 0.0, {0, 0}}),
+        Error);
+  }
+  // A dense set still solves, and assignments to unknown ids are caught
+  // on both sides of the dense range.
+  const std::vector<OverlapItem> dense = {item(3), item(4), item(5)};
+  EXPECT_NO_THROW(solve_overlapped(slots, dense, options, ws));
+  for (const int stray : {2, 6, kMax, std::numeric_limits<int>::min()}) {
+    EXPECT_THROW(check_feasible(slots, dense,
+                                OverlapSolution{{{stray, 0}}, 1.0, {10, 0}}),
+                 Error)
+        << stray;
   }
 }
 

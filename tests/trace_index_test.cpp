@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cursor.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "engine/trace_index.hpp"
@@ -79,22 +80,16 @@ TEST(TraceIndex, SessionLookupsMatchLinearScan) {
         seconds(500)}) {
     EXPECT_EQ(index.screen_on_at(probe), t.screen_on_at(probe)) << probe;
   }
-  EXPECT_EQ(index.first_session_at_or_after(0), 0u);
-  EXPECT_EQ(index.first_session_at_or_after(seconds(100)), 0u);
-  EXPECT_EQ(index.first_session_at_or_after(seconds(101)), 1u);
-  EXPECT_EQ(index.first_session_at_or_after(seconds(300)), 1u);
-  EXPECT_EQ(index.first_session_at_or_after(seconds(301)),
-            index.sessions().size());
-
-  EXPECT_EQ(index.next_session_begin(0, -1), seconds(100));
-  EXPECT_EQ(index.next_session_begin(seconds(200), -1), seconds(300));
-  EXPECT_EQ(index.next_session_begin(seconds(301), seconds(999)),
-            seconds(999));
-
-  EXPECT_EQ(index.last_session_begin_in(0, seconds(500)), seconds(300));
-  EXPECT_EQ(index.last_session_begin_in(0, seconds(300)), seconds(100));
-  EXPECT_EQ(index.last_session_begin_in(0, seconds(100)), -1);
-  EXPECT_EQ(index.last_session_begin_in(seconds(150), seconds(250)), -1);
+  // The first session at or after t, as the policies' replay cursors
+  // find it over the index's begin column.
+  SortedCursor<TimeMs, Seek::kFirstAtOrAfter> first_at_or_after(
+      index.sessions().begins());
+  EXPECT_EQ(first_at_or_after.seek(0), 0u);
+  EXPECT_EQ(first_at_or_after.seek(seconds(100)), 0u);
+  EXPECT_EQ(first_at_or_after.seek(seconds(101)), 1u);
+  EXPECT_EQ(first_at_or_after.seek(seconds(300)), 1u);
+  EXPECT_EQ(first_at_or_after.seek(seconds(301)), index.sessions().size());
+  EXPECT_EQ(first_at_or_after.seek(seconds(100)), 0u);  // backwards
 }
 
 TEST(TraceIndex, ClassifiesEveryActivityExactlyOnce) {
