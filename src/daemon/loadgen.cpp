@@ -21,38 +21,17 @@ constexpr int kPriorityNet = 3;
 
 void append_trace_events(const UserTrace& full, UserId user,
                          std::vector<LoadEvent>& out) {
-  // The same record derivation the online executive's monitoring feed
-  // uses (service/online_sim.cpp record_completed_day), flattened over
-  // the whole horizon.
   for (const ScreenSession& s : full.sessions) {
-    service::Record on;
-    on.kind = service::RecordKind::kScreenOn;
-    on.time = s.begin;
-    out.push_back({s.begin, kPriorityScreenOn, user, on});
-    service::Record off;
-    off.kind = service::RecordKind::kScreenOff;
-    off.time = s.end;
-    out.push_back({s.end, kPriorityScreenOff, user, off});
+    out.push_back(
+        {s.begin, kPriorityScreenOn, user, service::screen_on_record(s)});
+    out.push_back(
+        {s.end, kPriorityScreenOff, user, service::screen_off_record(s)});
   }
   for (const AppUsage& u : full.usages) {
-    service::Record r;
-    r.kind = service::RecordKind::kAppForeground;
-    r.time = u.time;
-    r.app = u.app;
-    r.duration = u.duration;
-    out.push_back({u.time, kPriorityApp, user, r});
+    out.push_back({u.time, kPriorityApp, user, service::to_record(u)});
   }
   for (const NetworkActivity& a : full.activities) {
-    service::Record r;
-    r.kind = service::RecordKind::kNetworkActivity;
-    r.time = a.start;
-    r.app = a.app;
-    r.bytes_down = a.bytes_down;
-    r.bytes_up = a.bytes_up;
-    r.duration = a.duration;
-    r.user_initiated = a.user_initiated;
-    r.deferrable = a.deferrable;
-    out.push_back({a.start, kPriorityNet, user, r});
+    out.push_back({a.start, kPriorityNet, user, service::to_record(a)});
   }
 }
 

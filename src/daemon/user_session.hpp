@@ -14,13 +14,12 @@
 //     NetMasterPolicy(training_trace, config) mines — the daemon's
 //     batch-equivalence anchor (daemon_test, bench_service_throughput).
 //
-//   * during the evaluation window, completed days feed a DriftDetector
-//     exactly as the online executive (service/online_sim.cpp) does at
-//     its midnight tick; a standing alarm triggers windowed re-mining
-//     from the store with the same changepoint clamp, confidence ramp,
-//     robustness gate and exponential backoff. Adopted models hot-swap
-//     the serving policy (bumping model_version); rejected ones back
-//     off.
+//   * during the evaluation window, completed days feed the same
+//     service::AdaptationController the online executive drives at its
+//     midnight tick (DESIGN.md §11.3). The session supplies the
+//     refresh's evaluation-window rebuild from its store; an adopted
+//     model hot-swaps the serving policy, bumps model_version and drops
+//     the cached schedule.
 //
 //   * schedule() reconstructs the evaluation window seen so far,
 //     indexes it and runs the serving policy — cached until new eval
@@ -42,11 +41,10 @@
 #include <string>
 #include <vector>
 
-#include "mining/drift.hpp"
 #include "mining/incremental.hpp"
 #include "mining/special_apps.hpp"
 #include "policy/netmaster.hpp"
-#include "service/online_sim.hpp"
+#include "service/adaptation.hpp"
 #include "service/record_store.hpp"
 #include "sim/outcome.hpp"
 #include "trace/trace.hpp"
@@ -76,7 +74,6 @@ struct UserSessionStats {
   bool finished = false;
   /// 0 before training completes; 1 after; +1 per adopted refresh.
   int model_version = 0;
-  double drift_score = 0.0;        ///< detector score after the last fold
 };
 
 /// One computed schedule (the daemon's answer to get-schedule).
@@ -127,7 +124,6 @@ class UserSession {
 
   UserSessionConfig config_;
   policy::NetMasterConfig policy_config_;
-  service::AdaptationConfig adapt_;
   TimeMs train_end_ = 0;
 
   service::RecordStore store_;  ///< every ingested record (the §V DB)
@@ -137,17 +133,13 @@ class UserSession {
   int current_day_ = 0;
 
   mining::IncrementalHabitMiner miner_;  ///< decay 0: batch-equivalent
-  mining::DriftDetector detector_;
+  service::AdaptationController adaptation_;
   mining::SpecialApps special_;
   std::unique_ptr<policy::NetMasterPolicy> policy_;
 
   TimeMs screen_open_since_ = -1;  ///< ingest-side session pairing state
   bool eval_screen_open_ = false;  ///< session straddled the boundary
   std::uint64_t eval_events_ = 0;
-
-  bool alarm_pending_ = false;
-  int next_refresh_day_ = 0;
-  int refresh_gap_ = 0;
 
   ScheduleResult cached_;
   bool cache_valid_ = false;

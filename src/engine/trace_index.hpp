@@ -53,6 +53,11 @@ class TraceIndex {
   TraceIndex(const UserTrace& trace, mem::Arena& arena,
              mem::LifetimeHandle source);
 
+  /// An index over a temporary would hand trace() a dangling pointer
+  /// once the full expression ends; both overloads require an lvalue.
+  TraceIndex(UserTrace&&) = delete;
+  TraceIndex(UserTrace&&, mem::Arena&, mem::LifetimeHandle) = delete;
+
   TraceIndex(TraceIndex&&) = default;
   TraceIndex& operator=(TraceIndex&&) = default;
 

@@ -24,7 +24,7 @@
 // The per-regime drift score is the larger of the two signals, in
 // [0, 1]. Scores feed policy::RobustnessConfig (high drift lowers
 // effective model confidence toward the safe fallback schedule) and the
-// online adaptation loop (service/online_sim.*), which re-mines from
+// online adaptation loop (service/adaptation.*), which re-mines from
 // the post-changepoint window when the detector alarms.
 #pragma once
 

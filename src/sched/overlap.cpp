@@ -367,67 +367,6 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
   return solve_overlapped(slots, items, options, thread_workspace());
 }
 
-OverlapSolution solve_overlapped_greedy(std::span<const OverlapSlot> slots,
-                                        std::span<const OverlapItem> items) {
-  validate_instance(slots, items);
-
-  // Order by the best candidate's profit/weight ratio (identical to the
-  // plain item ratio under the shared-profit convention).
-  const auto best_profit = [](const OverlapItem& item) {
-    double best = std::numeric_limits<double>::lowest();
-    for (int s : {item.prev_slot, item.next_slot}) {
-      if (s >= 0) best = std::max(best, item.profit_in(s));
-    }
-    return best;
-  };
-  std::vector<std::size_t> order(items.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const OverlapItem& x = items[a];
-    const OverlapItem& y = items[b];
-    const double px = best_profit(x);
-    const double py = best_profit(y);
-    if (x.weight == 0 || y.weight == 0) {
-      if (x.weight == 0 && y.weight == 0) return px > py;
-      return x.weight == 0;
-    }
-    return px * static_cast<double>(y.weight) >
-           py * static_cast<double>(x.weight);
-  });
-
-  OverlapSolution solution;
-  solution.slot_used.assign(slots.size(), 0);
-  for (std::size_t idx : order) {
-    const OverlapItem& item = items[idx];
-    int best = -1;
-    std::int64_t best_residual = 0;
-    double best_p = 0.0;
-    for (int s : {item.prev_slot, item.next_slot}) {
-      if (s < 0) continue;
-      const double p = item.profit_in(s);
-      if (p <= 0.0) continue;  // never pack an unprofitable candidate
-      const std::int64_t residual =
-          slots[static_cast<std::size_t>(s)].capacity -
-          solution.slot_used[static_cast<std::size_t>(s)];
-      if (residual < item.weight) continue;
-      // Prefer the higher-profit candidate; ties (the shared-profit
-      // convention) keep the tighter fit.
-      if (best < 0 || p > best_p || (p == best_p && residual < best_residual)) {
-        best = s;
-        best_residual = residual;
-        best_p = p;
-      }
-    }
-    if (best < 0) continue;
-    solution.assignments.push_back({item.id, best});
-    solution.slot_used[static_cast<std::size_t>(best)] += item.weight;
-    solution.total_profit += best_p;
-  }
-
-  check_feasible(slots, items, solution);
-  return solution;
-}
-
 OverlapSolution solve_overlapped_exact(std::span<const OverlapSlot> slots,
                                        std::span<const OverlapItem> items) {
   validate_instance(slots, items);

@@ -96,13 +96,6 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
 OverlapSolution solve_overlapped_exact(std::span<const OverlapSlot> slots,
                                        std::span<const OverlapItem> items);
 
-/// Naive baseline for the ablation benches: global ratio-greedy
-/// assignment (best profit/weight first, into whichever candidate slot
-/// has room, preferring the tighter fit). No approximation guarantee —
-/// this is what Algorithm 1's DP step buys over plain greedy.
-OverlapSolution solve_overlapped_greedy(std::span<const OverlapSlot> slots,
-                                        std::span<const OverlapItem> items);
-
 /// Validates feasibility of a solution against an instance; throws
 /// netmaster::Error on violation. Used by tests and by the policy layer
 /// as a defensive check.

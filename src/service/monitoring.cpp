@@ -28,20 +28,14 @@ std::size_t MonitoringComponent::observe(const UserTrace& trace) {
                  trace.activities.size());
 
   for (const ScreenSession& s : trace.sessions) {
-    events.push_back({s.begin, {RecordKind::kScreenOn, s.begin, -1, 0, 0,
-                                0, false, false}});
-    events.push_back({s.end, {RecordKind::kScreenOff, s.end, -1, 0, 0, 0,
-                              false, false}});
+    events.push_back({s.begin, screen_on_record(s)});
+    events.push_back({s.end, screen_off_record(s)});
   }
   for (const AppUsage& u : trace.usages) {
-    events.push_back({u.time, {RecordKind::kAppForeground, u.time, u.app,
-                               0, 0, u.duration, false, false}});
+    events.push_back({u.time, to_record(u)});
   }
   for (const NetworkActivity& n : trace.activities) {
-    events.push_back({n.start,
-                      {RecordKind::kNetworkActivity, n.start, n.app,
-                       n.bytes_down, n.bytes_up, n.duration,
-                       n.user_initiated, n.deferrable}});
+    events.push_back({n.start, to_record(n)});
   }
   std::stable_sort(events.begin(), events.end(),
             [](const Event& a, const Event& b) { return a.time < b.time; });

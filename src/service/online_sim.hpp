@@ -11,44 +11,23 @@
 // the greedy nearest-opportunity rule; the knapsack-planned placement
 // lives in the policy path. Agreement between the two paths (tested in
 // online_sim_test) validates the real-time adjustment machinery.
+//
+// With an enabled AdaptationConfig the executive also keeps the §V
+// monitoring loop running: each completed evaluation day lands in a
+// RecordStore and feeds the AdaptationController (service/adaptation.*)
+// at the midnight tick; an adopted refresh swaps the slot predictor.
 #pragma once
 
 #include <cstddef>
 
 #include "engine/trace_index.hpp"
-#include "mining/drift.hpp"
 #include "policy/netmaster.hpp"
 #include "sched/solver.hpp"
+#include "service/adaptation.hpp"
 #include "sim/outcome.hpp"
 #include "trace/trace.hpp"
 
 namespace netmaster::service {
-
-/// Online drift adaptation (ROADMAP item 5). When enabled, the
-/// executive keeps monitoring the evaluation stream: each completed day
-/// is appended to a RecordStore and folded into a mining::DriftDetector
-/// at the midnight tick. When the detector alarms, the mining component
-/// re-mines a fresh model from the store's post-changepoint window and
-/// the predictor hot-swaps to it — rate-limited with exponential
-/// backoff, and only when the re-mined model clears the robustness
-/// gate (its confidence is ramped down until enough post-drift days
-/// accumulated, so a one-day model never takes over).
-struct AdaptationConfig {
-  bool enable = false;
-  mining::DriftConfig detector;
-  /// Longest re-mine window: the refresh mines records from
-  /// [max(changepoint, day − window_days), day).
-  int window_days = 14;
-  /// Days between refresh attempts (rate limit; grows by
-  /// backoff_factor after a rejected refresh, resets on adoption).
-  int min_refresh_gap_days = 2;
-  int backoff_factor = 2;
-  /// A freshly re-mined model's confidence is scaled by
-  /// min(1, window_len / confidence_ramp_days): fewer post-drift days
-  /// than this leave it partially trusted (possibly below the adoption
-  /// gate — the next attempt sees more days).
-  int confidence_ramp_days = 3;
-};
 
 struct OnlineSimResult {
   sim::PolicyOutcome outcome;      ///< accountable like any policy run
@@ -83,8 +62,9 @@ OnlineSimResult run_online(const UserTrace& training,
                            const policy::NetMasterConfig& config);
 
 /// Adaptive replay: like run_online, plus the drift-adaptation loop of
-/// AdaptationConfig. With adapt.enable == false this is exactly
-/// run_online (no detector, no store, bit-identical schedule). The
+/// AdaptationConfig (DESIGN.md §11.3). With adapt.enable == false this
+/// is exactly run_online (no detector, no store, bit-identical
+/// schedule). The
 /// evaluation index must share the training trace's weekday phase
 /// (slice at multiples of 7 days), as for NetMasterPolicy.
 OnlineSimResult run_online(const UserTrace& training,

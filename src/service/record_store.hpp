@@ -44,6 +44,26 @@ struct Record {
   friend bool operator==(const Record&, const Record&) = default;
 };
 
+// The trace→record conversion: the monitoring rows one trace element
+// produces. The online executive's record feed, netmasterd's load
+// generator and the monitoring component all go through these.
+inline Record screen_on_record(const ScreenSession& s) {
+  return {.kind = RecordKind::kScreenOn, .time = s.begin};
+}
+inline Record screen_off_record(const ScreenSession& s) {
+  return {.kind = RecordKind::kScreenOff, .time = s.end};
+}
+inline Record to_record(const AppUsage& u) {
+  return {.kind = RecordKind::kAppForeground, .time = u.time, .app = u.app,
+          .duration = u.duration};
+}
+inline Record to_record(const NetworkActivity& a) {
+  return {.kind = RecordKind::kNetworkActivity, .time = a.start,
+          .app = a.app, .bytes_down = a.bytes_down, .bytes_up = a.bytes_up,
+          .duration = a.duration, .user_initiated = a.user_initiated,
+          .deferrable = a.deferrable};
+}
+
 /// Append-only store with a bounded memory write-cache.
 class RecordStore {
  public:

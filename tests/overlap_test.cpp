@@ -114,7 +114,6 @@ TEST(Algorithm1, RejectsNonFiniteProfit) {
     const std::vector<OverlapItem> items = {{0, 1, 2.0, 0, 1},
                                             {1, 1, bad, 0, 1}};
     EXPECT_THROW(solve_overlapped(slots, items, 0.1), Error);
-    EXPECT_THROW(solve_overlapped_greedy(slots, items), Error);
     EXPECT_THROW(solve_overlapped_exact(slots, items), Error);
   }
 }
@@ -149,53 +148,6 @@ TEST(CheckFeasible, CatchesViolations) {
   EXPECT_THROW(check_feasible(slots, items, unknown_item), Error);
 }
 
-TEST(GreedyBaseline, FeasibleAndReasonable) {
-  const std::vector<OverlapSlot> slots = {{0, 20}, {1, 15}};
-  const std::vector<OverlapItem> items = {
-      {0, 10, 8.0, 0, 1}, {1, 10, 6.0, 0, 1}, {2, 10, 4.0, 0, 1}};
-  const OverlapSolution s = solve_overlapped_greedy(slots, items);
-  // Ratio order: item 0 into the tighter slot 1; items 1 and 2 fill
-  // slot 0 (capacity 20).
-  EXPECT_DOUBLE_EQ(s.total_profit, 18.0);
-  EXPECT_EQ(s.assignments.size(), 3u);
-}
-
-TEST(GreedyBaseline, PrefersTighterSlot) {
-  const std::vector<OverlapSlot> slots = {{0, 100}, {1, 10}};
-  const std::vector<OverlapItem> items = {{0, 10, 5.0, 0, 1}};
-  const OverlapSolution s = solve_overlapped_greedy(slots, items);
-  ASSERT_EQ(s.assignments.size(), 1u);
-  EXPECT_EQ(s.assignments[0].slot_index, 1);
-}
-
-TEST(GreedyBaseline, NeverBeatsExactAndOftenTrailsAlgorithm1) {
-  Rng rng(77);
-  double greedy_sum = 0.0, algo1_sum = 0.0;
-  for (int run = 0; run < 50; ++run) {
-    const int n_slots = static_cast<int>(rng.uniform_int(2, 4));
-    std::vector<OverlapSlot> slots;
-    for (int s = 0; s < n_slots; ++s) {
-      slots.push_back({s, rng.uniform_int(20, 120)});
-    }
-    std::vector<OverlapItem> items;
-    for (int i = 0; i < 12; ++i) {
-      const int prev = static_cast<int>(rng.uniform_int(0, n_slots - 2));
-      items.push_back({i, rng.uniform_int(5, 60), rng.uniform(0.5, 40.0),
-                       prev, prev + 1});
-    }
-    const double exact =
-        solve_overlapped_exact(slots, items).total_profit;
-    const double greedy =
-        solve_overlapped_greedy(slots, items).total_profit;
-    const double algo1 = solve_overlapped(slots, items, 0.1).total_profit;
-    EXPECT_LE(greedy, exact + 1e-9);
-    greedy_sum += greedy;
-    algo1_sum += algo1;
-  }
-  // Aggregate quality: Algorithm 1's DP step beats plain greedy.
-  EXPECT_GE(algo1_sum, greedy_sum);
-}
-
 // ---- Per-candidate profit overrides (multi-radio candidates) ----
 
 TEST(PerCandidateProfit, ProfitInSelectsOverride) {
@@ -223,8 +175,7 @@ TEST(PerCandidateProfit, SolversPickTheRicherCandidate) {
   const std::vector<OverlapItem> items = {item};
   for (const OverlapSolution& s :
        {solve_overlapped_exact(slots, items),
-        solve_overlapped(slots, items, 0.1),
-        solve_overlapped_greedy(slots, items)}) {
+        solve_overlapped(slots, items, 0.1)}) {
     ASSERT_EQ(s.assignments.size(), 1u);
     EXPECT_EQ(s.assignments[0].slot_index, 1);
     EXPECT_DOUBLE_EQ(s.total_profit, 9.0);
@@ -254,7 +205,7 @@ TEST(PerCandidateProfit, NegativeCandidateNeverChosen) {
 TEST(PerCandidateProfit, NanDefaultBitCompatibleWithSharedProfit) {
   // Explicitly setting both overrides to the shared value must produce
   // the same solutions (bitwise profits) as the NaN defaults, across
-  // random instances and all three solvers.
+  // random instances and both solvers.
   Rng rng(2026);
   for (int run = 0; run < 20; ++run) {
     const int n_slots = static_cast<int>(rng.uniform_int(2, 4));
@@ -279,8 +230,6 @@ TEST(PerCandidateProfit, NanDefaultBitCompatibleWithSharedProfit) {
     EXPECT_EQ(a.assignments.size(), b.assignments.size()) << "run " << run;
     EXPECT_EQ(solve_overlapped_exact(slots, plain).total_profit,
               solve_overlapped_exact(slots, pinned).total_profit);
-    EXPECT_EQ(solve_overlapped_greedy(slots, plain).total_profit,
-              solve_overlapped_greedy(slots, pinned).total_profit);
   }
 }
 

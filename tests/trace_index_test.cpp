@@ -9,6 +9,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/cursor.hpp"
@@ -28,6 +29,14 @@
 
 namespace netmaster::engine {
 namespace {
+
+// trace() points at the indexed trace, so an index over a temporary
+// would dangle the moment its full expression ends: both constructors
+// must reject rvalues at compile time.
+static_assert(std::is_constructible_v<TraceIndex, const UserTrace&>);
+static_assert(!std::is_constructible_v<TraceIndex, UserTrace&&>);
+static_assert(!std::is_constructible_v<TraceIndex, UserTrace&&, mem::Arena&,
+                                       mem::LifetimeHandle>);
 
 /// Two sessions, activities on both sides of every boundary.
 UserTrace fixture() {
