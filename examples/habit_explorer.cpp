@@ -3,7 +3,7 @@
 // slots, the Pearson regularity matrices, and the detected special
 // apps.
 //
-//   $ ./habit_explorer [archetype 0-7] [seed]
+//   $ ./habit_explorer [archetype 0-9] [seed]
 #include <cstdlib>
 #include <iostream>
 
@@ -20,7 +20,12 @@ int main(int argc, char** argv) {
   const int kind = argc > 1 ? std::atoi(argv[1]) : 0;
   const std::uint64_t seed =
       argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
-  const auto archetype = static_cast<synth::Archetype>(kind % 8);
+  if (kind < 0 ||
+      kind > static_cast<int>(synth::Archetype::kPodcastCommuter)) {
+    std::cerr << "usage: habit_explorer [archetype 0-9] [seed]\n";
+    return 1;
+  }
+  const auto archetype = static_cast<synth::Archetype>(kind);
 
   const synth::UserProfile profile = synth::make_user(archetype, 1);
   const UserTrace trace = synth::generate_trace(profile, 21, seed);

@@ -1,16 +1,20 @@
 // netmaster_cli — command-line driver over the library, for working
 // with traces on disk:
 //
-//   netmaster_cli generate <archetype 0-7> <days> <seed> <out.csv>
+//   netmaster_cli generate <archetype 0-9> <days> <seed> <out.csv>
 //   netmaster_cli inspect  <trace.csv>
 //   netmaster_cli evaluate <training.csv> <eval.csv> [policy]
 //   netmaster_cli compare  [seed]
 //
 // Policies for `evaluate`: baseline, oracle, netmaster (default),
 // delay:<seconds>, batch:<n>, delaybatch:<seconds>.
+#include <charconv>
+#include <climits>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "eval/battery.hpp"
@@ -35,7 +39,7 @@ using namespace netmaster;
 int usage() {
   std::cerr
       << "usage:\n"
-      << "  netmaster_cli generate <archetype 0-7> <days> <seed> <out.csv>\n"
+      << "  netmaster_cli generate <archetype 0-9> <days> <seed> <out.csv>\n"
       << "  netmaster_cli inspect  <trace.csv>\n"
       << "  netmaster_cli evaluate <training.csv> <eval.csv> [policy]\n"
       << "  netmaster_cli compare  [seed]\n"
@@ -71,16 +75,32 @@ std::unique_ptr<policy::Policy> make_policy(const std::string& spec,
   throw Error("unknown policy spec: " + spec);
 }
 
+/// Parses all of `text` as a decimal int in [lo, hi].
+std::optional<int> parse_int(const char* text, int lo, int hi) {
+  const char* end = text + std::strlen(text);
+  int value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 int cmd_generate(int argc, char** argv) {
   if (argc != 6) return usage();
-  const auto archetype =
-      static_cast<synth::Archetype>(std::atoi(argv[2]) % 8);
-  const int days = std::atoi(argv[3]);
+  const std::optional<int> archetype = parse_int(
+      argv[2], 0, static_cast<int>(synth::Archetype::kPodcastCommuter));
+  const std::optional<int> days = parse_int(argv[3], 1, INT_MAX);
+  if (!archetype || !days) {
+    usage();
+    return 1;
+  }
   const auto seed = std::strtoull(argv[4], nullptr, 10);
-  const synth::UserProfile profile = synth::make_user(archetype, 1);
-  const UserTrace trace = synth::generate_trace(profile, days, seed);
+  const synth::UserProfile profile =
+      synth::make_user(static_cast<synth::Archetype>(*archetype), 1);
+  const UserTrace trace = synth::generate_trace(profile, *days, seed);
   save_trace(argv[5], trace);
-  std::cout << "wrote " << days << " days of '" << profile.name << "' ("
+  std::cout << "wrote " << *days << " days of '" << profile.name << "' ("
             << trace.activities.size() << " transfers, "
             << trace.usages.size() << " launches) to " << argv[5] << "\n";
   return 0;

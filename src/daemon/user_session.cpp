@@ -119,7 +119,8 @@ mining::DayContribution UserSession::summarize_window(int day) const {
   // Reconstruct days [day-1, day] shifted to a 2-day (1-day for day 0)
   // window: sessions spanning the leading midnight pair up, sessions
   // still open at the window's end clamp to it — exactly the screen
-  // coverage the full-history index derives for `day`. The summary is
+  // coverage the full-history index derives for `day`. Only the
+  // window's hour buckets are folded (no index), and the summary is
   // then patched to the absolute day's regime.
   const int first = std::max(day - 1, 0);
   const TimeMs lo = day_start(first);
@@ -134,9 +135,12 @@ mining::DayContribution UserSession::summarize_window(int day) const {
   const fault::SanitizeResult repaired =
       window.to_trace_tolerant(config_.user, day + 1 - first,
                                config_.app_names);
-  const engine::TraceIndex index(repaired.trace);
-  mining::DayContribution c =
-      mining::IncrementalHabitMiner::summarize_day(day - first, index);
+  const UserTrace& trace = repaired.trace;
+  std::vector<engine::TraceIndex::HourBucket> buckets(
+      static_cast<std::size_t>(trace.num_days) * kHoursPerDay);
+  engine::TraceIndex::fold_hour_buckets(trace, buckets);
+  mining::DayContribution c = mining::IncrementalHabitMiner::summarize_day(
+      day - first, buckets, trace.app_names.size());
   c.kind = mining::day_kind(day);
   return c;
 }

@@ -5,9 +5,10 @@
 //
 //   * during the training window, each completed day is folded into an
 //     IncrementalHabitMiner (decay 0) through a 2-day reconstruction
-//     window — O(events of 2 days) per fold, never a whole-history
-//     rebuild. When the last training day folds, the session snapshots
-//     the miner into a HabitModel, detects SpecialApps from the (one-
+//     window whose hour buckets are folded directly, without an index
+//     — O(events of 2 days) per fold, never a whole-history rebuild.
+//     When the last training day folds, the session snapshots the
+//     miner into a HabitModel, detects SpecialApps from the (one-
 //     time) reconstructed training window, and builds the serving
 //     NetMasterPolicy through the model-injection constructor. At
 //     decay 0 on clean streams this policy is bit-for-bit the one

@@ -6,15 +6,9 @@
 
 #include "common/error.hpp"
 #include "fault/sanitize.hpp"
+#include "mining/incremental.hpp"
 
 namespace netmaster::mining {
-
-double slot_confidence(double k, double p) {
-  const double stderr_p = std::sqrt(p * (1.0 - p) / k);
-  double c = std::clamp(k / (k + 1.0) * (1.0 - stderr_p), 0.0, 1.0);
-  if (k <= 1.0) c *= kSingleDayRegimePenalty;
-  return c;
-}
 
 HabitModel HabitModel::mine(const UserTrace& history) {
   // A valid trace is exactly one sanitize_trace would return unrepaired
@@ -25,11 +19,9 @@ HabitModel HabitModel::mine(const UserTrace& history) {
     history.validate();
   } catch (const Error&) {
     const fault::SanitizeResult repaired = fault::sanitize_trace(history);
-    HabitModel model = fold_trace(repaired.trace);
-    model.data_quality_ = repaired.report.quality();
-    return model;
+    return fold_trace(repaired.trace, repaired.report.quality());
   }
-  return fold_trace(history);
+  return fold_trace(history, 1.0);
 }
 
 HabitModel HabitModel::mine(const engine::TraceIndex& history) {
@@ -41,56 +33,28 @@ HabitModel HabitModel::mine(const engine::TraceIndex& history,
   NM_REQUIRE(first_day >= 0 && first_day <= last_day &&
                  last_day <= history.num_days(),
              "mining window out of range");
-  return fold(history.buckets(), history.num_apps(), first_day, last_day);
+  return fold(history.buckets(), history.num_apps(), first_day, last_day,
+              1.0);
 }
 
-HabitModel HabitModel::fold_trace(const UserTrace& trace) {
+HabitModel HabitModel::fold_trace(const UserTrace& trace,
+                                  double data_quality) {
   std::vector<Bucket> buckets(static_cast<std::size_t>(trace.num_days) *
                               kHoursPerDay);
   engine::TraceIndex::fold_hour_buckets(trace, buckets);
-  return fold(buckets, trace.app_names.size(), 0, trace.num_days);
+  return fold(buckets, trace.app_names.size(), 0, trace.num_days,
+              data_quality);
 }
 
 HabitModel HabitModel::fold(std::span<const Bucket> buckets,
                             std::size_t num_apps, int first_day,
-                            int last_day) {
-  HabitModel model;
-
-  // The per-(day, hour) buckets hold exactly the occupancy flags and
-  // accumulators Eqs. 2–3 need; fold them into the two day regimes.
-  // Eq. 3 counts (app, day) pairs: the bucket's distinct-app count over
-  // the denominator m*k honours that.
+                            int last_day, double data_quality) {
+  IncrementalHabitMiner miner;  // decay 0: plain per-day sums
   for (int d = first_day; d < last_day; ++d) {
-    auto& s = model.stats_[static_cast<std::size_t>(day_kind(d))];
-    ++s.days_observed;
-    for (int h = 0; h < kHoursPerDay; ++h) {
-      const Bucket& bucket = buckets[static_cast<std::size_t>(d) *
-                                         kHoursPerDay +
-                                     static_cast<std::size_t>(h)];
-      if (bucket.usage_count > 0) s.pr_active[h] += 1.0;
-      s.mean_intensity[h] += bucket.usage_count;
-      s.mean_net_count[h] += bucket.net_count;
-      s.mean_net_bytes[h] += bucket.net_bytes;
-      if (num_apps > 0) {
-        s.pr_net[h] += static_cast<double>(bucket.distinct_net_apps) /
-                       static_cast<double>(num_apps);
-      }
-    }
+    miner.observe_summary(
+        IncrementalHabitMiner::summarize_day(d, buckets, num_apps));
   }
-
-  for (auto& s : model.stats_) {
-    if (s.days_observed == 0) continue;  // confidence stays all-zero
-    const auto k = static_cast<double>(s.days_observed);
-    for (int h = 0; h < kHoursPerDay; ++h) {
-      s.pr_active[h] /= k;
-      s.pr_net[h] /= k;
-      s.mean_intensity[h] /= k;
-      s.mean_net_count[h] /= k;
-      s.mean_net_bytes[h] /= k;
-      s.confidence[h] = slot_confidence(k, s.pr_active[h]);
-    }
-  }
-  return model;
+  return miner.snapshot(data_quality);
 }
 
 void HabitModel::scale_confidence(double factor) {

@@ -9,6 +9,12 @@
 //   - mean screen-off activity count and bytes per hour (workload shape
 //     for the scheduler).
 //
+// Mining is the decay-0 fold of IncrementalHabitMiner (incremental.hpp):
+// mine() reads the per-(day, hour) bucket grid of the trace, feeds its
+// days one at a time to a miner that forgets nothing, and returns the
+// miner's snapshot. The sums, the averaging and the confidence formula
+// live there only.
+//
 // The predictor thresholds Pr[u] at δ to produce the user-active slot
 // set U for a day (adjacent qualifying hours merge into variable-length
 // slots), and exposes Pr[u(t)] for the penalty integral of Eq. 4.
@@ -35,23 +41,6 @@ inline DayKind day_kind(int day) {
   return is_weekend(day) ? DayKind::kWeekend : DayKind::kWeekday;
 }
 
-/// Extra shrink applied to a regime whose (effective) history is a
-/// single day. One day pins pr_active to 0/1, so the binomial standard
-/// error vanishes and the raw k/(k+1) factor alone would report 0.5 —
-/// above the default robustness gate — for history that is barely
-/// evidence. The penalty keeps one-day regimes (fresh post-drift
-/// re-mines, truncated training) below the default min_confidence until
-/// a second day accumulates.
-inline constexpr double kSingleDayRegimePenalty = 0.4;
-
-/// Per-slot estimate confidence from an effective day count `k` (> 0;
-/// fractional under decayed incremental mining) and the slot's
-/// pr_active estimate `p`: a sample-size factor k/(k+1) shrunk by the
-/// binomial standard error sqrt(p(1-p)/k), with the single-day penalty
-/// above for k <= 1. Shared by the batch and incremental miners so
-/// decay = 0 reproduces batch confidences bit for bit.
-double slot_confidence(double k, double p);
-
 /// Per-hour habit statistics for one day regime.
 struct HourStats {
   std::array<double, kHoursPerDay> pr_active{};   ///< Eq. 2 numerator/k
@@ -59,10 +48,11 @@ struct HourStats {
   std::array<double, kHoursPerDay> mean_intensity{};
   std::array<double, kHoursPerDay> mean_net_count{};  ///< screen-off
   std::array<double, kHoursPerDay> mean_net_bytes{};  ///< screen-off
-  /// Per-slot estimate confidence in [0, 1]: shrinks with the binomial
-  /// standard error of pr_active and with small day counts (0 when the
-  /// regime was never observed). Does not include the data-quality
-  /// factor — see HabitModel::confidence.
+  /// Per-slot estimate confidence in [0, 1] (slot_confidence in
+  /// incremental.hpp): shrinks with the binomial standard error of
+  /// pr_active and with small day counts (0 when the regime was never
+  /// observed). Does not include the data-quality factor — see
+  /// HabitModel::confidence.
   std::array<double, kHoursPerDay> confidence{};
   int days_observed = 0;
 };
@@ -136,12 +126,14 @@ class HabitModel {
   using Bucket = engine::TraceIndex::HourBucket;
 
   /// Buckets a valid trace and folds all its days.
-  static HabitModel fold_trace(const UserTrace& trace);
+  static HabitModel fold_trace(const UserTrace& trace, double data_quality);
 
-  /// The mining fold shared by every overload: days [first_day,
-  /// last_day) of a day-major bucket grid.
+  /// Batch mining: a decay-0 IncrementalHabitMiner fed days [first_day,
+  /// last_day) of a day-major bucket grid, snapshotted at
+  /// `data_quality`.
   static HabitModel fold(std::span<const Bucket> buckets,
-                         std::size_t num_apps, int first_day, int last_day);
+                         std::size_t num_apps, int first_day, int last_day,
+                         double data_quality);
 
   std::array<HourStats, 2> stats_{};
   double data_quality_ = 1.0;

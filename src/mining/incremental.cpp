@@ -1,10 +1,18 @@
 #include "mining/incremental.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
 
 namespace netmaster::mining {
+
+double slot_confidence(double k, double p) {
+  const double stderr_p = std::sqrt(p * (1.0 - p) / k);
+  double c = std::clamp(k / (k + 1.0) * (1.0 - stderr_p), 0.0, 1.0);
+  if (k <= 1.0) c *= kSingleDayRegimePenalty;
+  return c;
+}
 
 IncrementalHabitMiner::IncrementalHabitMiner(IncrementalConfig config)
     : config_(config) {
@@ -14,14 +22,20 @@ IncrementalHabitMiner::IncrementalHabitMiner(IncrementalConfig config)
 }
 
 DayContribution IncrementalHabitMiner::summarize_day(
-    int day, const engine::TraceIndex& index) {
-  NM_REQUIRE(day >= 0 && day < index.num_days(),
-             "observed day out of the index range");
+    int day, std::span<const Bucket> buckets, std::size_t num_apps) {
+  NM_REQUIRE(day >= 0 && static_cast<std::size_t>(day) <
+                             buckets.size() / kHoursPerDay,
+             "observed day out of the bucket grid");
+  // The bucket holds exactly the occupancy flag and accumulators Eqs.
+  // 2–3 need. Eq. 3 counts (app, day) pairs: the bucket's distinct-app
+  // count over m honours that once the sums are divided by k.
   DayContribution c;
   c.kind = day_kind(day);
-  const std::size_t num_apps = index.num_apps();
+  const std::span<const Bucket> hours =
+      buckets.subspan(static_cast<std::size_t>(day) * kHoursPerDay,
+                      kHoursPerDay);
   for (int h = 0; h < kHoursPerDay; ++h) {
-    const engine::TraceIndex::HourBucket& bucket = index.bucket(day, h);
+    const Bucket& bucket = hours[static_cast<std::size_t>(h)];
     if (bucket.usage_count > 0) c.active[h] = 1.0;
     c.intensity[h] = bucket.usage_count;
     c.net_count[h] = bucket.net_count;
@@ -37,10 +51,8 @@ DayContribution IncrementalHabitMiner::summarize_day(
 void IncrementalHabitMiner::observe_summary(const DayContribution& day) {
   RegimeCounters& r = regimes_[static_cast<std::size_t>(day.kind)];
 
-  // Forget, then fold — the same per-day contributions the batch miner
-  // accumulates, so the keep-everything case stays bit-identical
-  // (x * 1.0 == x for every finite x, and adding the contribution is
-  // the same addition the batch fold performs).
+  // Forget, then fold. At decay 0 the forget step is skipped and the
+  // counters are the plain per-day sums batch mining divides by k.
   const double keep = 1.0 - config_.decay;
   if (keep != 1.0 && r.weight > 0.0) {
     for (int h = 0; h < kHoursPerDay; ++h) {

@@ -1,35 +1,53 @@
-// Incremental habit mining over exponentially-decayed per-slot counters
-// (ROADMAP items 1 and 5).
+// Habit mining over per-slot counters folded one day at a time, with
+// optional exponential forgetting (ROADMAP items 1 and 5).
 //
-// The batch miner rebuilds a HabitModel from the whole training window;
-// a long-lived middleware instead folds each completed day into running
-// per-(regime, hour) accumulators. This miner maintains exactly the
-// statistics Eqs. 2–3 consume — pr_active / pr_net occupancy sums and
-// the intensity/net workload means — per DayKind, one day at a time,
-// with a `decay` knob that forgets old days geometrically:
+// This is the one place habit buckets are summed and averaged. The
+// miner maintains exactly the statistics Eqs. 2–3 consume — pr_active /
+// pr_net occupancy sums and the intensity/net workload means — per
+// DayKind, one day at a time, with a `decay` knob that forgets old days
+// geometrically:
 //
 //   sums ← sums · (1 − decay) + today,   weight ← weight · (1 − decay) + 1
 //
 // applied per regime when a day of that regime arrives. Estimates are
-// sums / weight, so decay = 0 degenerates to the plain per-day sums and
-// a snapshot() reproduces the batch HabitModel::mine result bit for
-// bit on the same index (regression-tested in drift_test). The decayed
-// `weight` is the effective day count feeding the shared confidence
-// formula: a heavily-decayed history is worth fewer days of evidence.
+// sums / weight, so decay = 0 degenerates to the plain per-day sums:
+// batch mining (HabitModel::mine) is a decay-0 miner fed the days of a
+// bucket grid, then snapshot(). The decayed `weight` is the effective
+// day count feeding the confidence formula: a heavily-decayed history
+// is worth fewer days of evidence.
 //
-// These counters are the substrate for the drift detector (two banks at
-// different decays, see drift.hpp) and for ROADMAP item 1's streaming
-// mining (per-event ingestion folds into the same per-day buckets).
+// Callers: HabitModel::mine (batch, decay 0), netmasterd's per-day fold
+// (decay 0, from a two-day window's bucket grid), and the drift
+// detector's two banks at different decays (drift.hpp).
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "common/time.hpp"
 #include "engine/trace_index.hpp"
 #include "mining/habits.hpp"
 
 namespace netmaster::mining {
+
+/// Extra shrink applied to a regime whose (effective) history is a
+/// single day. One day pins pr_active to 0/1, so the binomial standard
+/// error vanishes and the raw k/(k+1) factor alone would report 0.5 —
+/// above the default robustness gate — for history that is barely
+/// evidence. The penalty keeps one-day regimes (fresh post-drift
+/// re-mines, truncated training) below the default min_confidence until
+/// a second day accumulates.
+inline constexpr double kSingleDayRegimePenalty = 0.4;
+
+/// Per-slot estimate confidence from an effective day count `k` (> 0;
+/// fractional under decayed incremental mining) and the slot's
+/// pr_active estimate `p`: a sample-size factor k/(k+1) shrunk by the
+/// binomial standard error sqrt(p(1-p)/k), with the single-day penalty
+/// above for k <= 1. IncrementalHabitMiner::snapshot fills
+/// HourStats::confidence with it.
+double slot_confidence(double k, double p);
 
 struct IncrementalConfig {
   /// Per-day forgetting factor in [0, 1): each new day of a regime
@@ -59,9 +77,16 @@ class IncrementalHabitMiner {
 
   const IncrementalConfig& config() const { return config_; }
 
-  /// Extracts day `day`'s contribution without folding it anywhere.
+  /// Extracts day `day`'s contribution from a day-major bucket grid
+  /// (the TraceIndex::buckets() layout, kHoursPerDay buckets per day)
+  /// of a trace with `num_apps` apps, without folding it anywhere.
+  static DayContribution summarize_day(
+      int day, std::span<const engine::TraceIndex::HourBucket> buckets,
+      std::size_t num_apps);
   static DayContribution summarize_day(int day,
-                                       const engine::TraceIndex& index);
+                                       const engine::TraceIndex& index) {
+    return summarize_day(day, index.buckets(), index.num_apps());
+  }
 
   /// Folds one extracted day into its regime (decay, then add).
   void observe_summary(const DayContribution& day);
@@ -115,13 +140,15 @@ class IncrementalHabitMiner {
   double mean_intensity(DayKind kind, int hour) const;
 
   /// Snapshots the counters into a HabitModel whose confidence uses the
-  /// decayed effective day counts. With decay = 0 the snapshot is
-  /// bit-for-bit the batch HabitModel::mine of the same observed days.
+  /// decayed effective day counts. With decay = 0 this is batch mining
+  /// of the observed days (HabitModel::mine returns exactly it).
   /// `data_quality` scales the model's confidence (the sanitizer's
   /// ledger score when the observed days came through repair).
   HabitModel snapshot(double data_quality = 1.0) const;
 
  private:
+  using Bucket = engine::TraceIndex::HourBucket;
+
   struct RegimeCounters {
     double weight = 0.0;  ///< decayed day count
     int days = 0;         ///< undecayed day count

@@ -202,9 +202,16 @@ double P2Quantile::value() const {
   if (count_ == 0) return 0.0;
   if (count_ >= 5) return height_[2];
   // Exact small-sample quantile (nearest-rank on the sorted prefix).
+  // Insertion sort: at most four samples, and std::sort over the fixed
+  // array trips GCC's -Warray-bounds through its unrolled threshold.
   double sorted[5];
-  std::copy(height_, height_ + count_, sorted);
-  std::sort(sorted, sorted + count_);
+  for (std::size_t i = 0; i < count_; ++i) {
+    std::size_t j = i;
+    for (; j > 0 && sorted[j - 1] > height_[i]; --j) {
+      sorted[j] = sorted[j - 1];
+    }
+    sorted[j] = height_[i];
+  }
   const auto rank = static_cast<std::size_t>(
       q_ * static_cast<double>(count_ - 1) + 0.5);
   return sorted[std::min(rank, count_ - 1)];

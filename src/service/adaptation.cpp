@@ -29,26 +29,16 @@ void AdaptationController::seed(const UserTrace& sanitized_training) {
   detector_.notify_adapted();
 }
 
-bool AdaptationController::observe_day(int day,
-                                       const engine::TraceIndex& eval) {
-  detector_.observe_day(day, eval);
-  return book_alarm(day + 1);
-}
-
 bool AdaptationController::observe_summary(int day,
                                            mining::DayContribution summary) {
   detector_.observe_summary(day, std::move(summary));
-  return book_alarm(day + 1);
-}
-
-bool AdaptationController::book_alarm(int next_day) {
   if (!detector_.alarmed()) return false;
   if (!alarm_pending_) {
     alarm_pending_ = true;
     ++alarms_;
     if (first_alarm_day_ < 0) first_alarm_day_ = detector_.alarm_day();
   }
-  return next_day >= next_refresh_day_;
+  return day + 1 >= next_refresh_day_;
 }
 
 std::optional<mining::HabitModel> AdaptationController::refresh(

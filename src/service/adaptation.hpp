@@ -72,10 +72,9 @@ class AdaptationController {
   /// re-anchors it on the deployed model's habits.
   void seed(const UserTrace& sanitized_training);
 
-  /// Folds completed evaluation day `day` — from the evaluation index
-  /// or an already-summarized day — and books a newly standing alarm.
-  /// True when a refresh is due at the midnight opening day + 1.
-  bool observe_day(int day, const engine::TraceIndex& eval);
+  /// Folds completed evaluation day `day`, already summarized, and
+  /// books a newly standing alarm. True when a refresh is due at the
+  /// midnight opening day + 1.
   bool observe_summary(int day, mining::DayContribution summary);
 
   /// Re-mines [max(changepoint, day − window_days), day) of `seen`, the
@@ -94,8 +93,6 @@ class AdaptationController {
   int first_alarm_day() const { return first_alarm_day_; }
 
  private:
-  bool book_alarm(int next_day);
-
   AdaptationConfig config_;
   mining::DriftDetector detector_;
   bool alarm_pending_ = false;  ///< alarm raised, refresh not yet adopted

@@ -9,20 +9,22 @@
 // events seen so far. Deferred transfers are released at the first real
 // radio opportunity (screen-on, duty wake, predicted slot begin), i.e.
 // the greedy nearest-opportunity rule; the knapsack-planned placement
-// lives in the policy path. Agreement between the two paths (tested in
-// online_sim_test) validates the real-time adjustment machinery.
+// (Algorithm 1) lives in the policy path only. Agreement between the
+// two paths (tested in online_sim_test) validates the real-time
+// adjustment machinery.
 //
 // With an enabled AdaptationConfig the executive also keeps the §V
 // monitoring loop running: each completed evaluation day lands in a
-// RecordStore and feeds the AdaptationController (service/adaptation.*)
-// at the midnight tick; an adopted refresh swaps the slot predictor.
+// RecordStore, and its summary (IncrementalHabitMiner::summarize_day
+// over the index's buckets) feeds the AdaptationController
+// (service/adaptation.*) at the midnight tick; an adopted refresh swaps
+// the slot predictor.
 #pragma once
 
 #include <cstddef>
 
 #include "engine/trace_index.hpp"
 #include "policy/netmaster.hpp"
-#include "sched/solver.hpp"
 #include "service/adaptation.hpp"
 #include "sim/outcome.hpp"
 #include "trace/trace.hpp"
@@ -33,14 +35,6 @@ struct OnlineSimResult {
   sim::PolicyOutcome outcome;      ///< accountable like any policy run
   std::size_t events_processed = 0;
   std::size_t radio_switches = 0;  ///< svc data enable/disable calls
-  /// Advisory whole-horizon Algorithm 1 plan, computed once per run
-  /// with the configured solver backend over the same mined model and
-  /// deferrable classification as the policy path. The event loop's
-  /// executed releases stay nearest-opportunity — the plan only feeds
-  /// instrumentation (and lets tests compare the online path's solver
-  /// stats against the policy path's).
-  std::size_t planned_assignments = 0;
-  sched::SolveStats plan_stats;
 
   // Drift-adaptation telemetry (all zero when adaptation is off).
   double final_drift_score = 0.0;  ///< detector score at the horizon

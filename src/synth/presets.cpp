@@ -137,6 +137,9 @@ std::vector<AppProfile> standard_app_population() {
 }
 
 UserProfile make_user(Archetype archetype, UserId id) {
+  NM_REQUIRE(static_cast<int>(archetype) >= 0 &&
+                 archetype <= Archetype::kPodcastCommuter,
+             "unknown archetype");
   UserProfile user;
   user.id = id;
   user.apps = standard_app_population();

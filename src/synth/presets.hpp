@@ -34,7 +34,8 @@ enum class Archetype {
 /// handful of apps see both usage and network activity for any user.
 std::vector<AppProfile> standard_app_population();
 
-/// Builds a user of the given archetype with the standard apps.
+/// Builds a user of the given archetype with the standard apps. Throws
+/// netmaster::Error for a value outside the enum.
 UserProfile make_user(Archetype archetype, UserId id);
 
 /// The 8-user §III study population (one of each archetype).

@@ -1,19 +1,24 @@
-// Drift suite (ROADMAP item 5): incremental-miner equivalence with the
-// batch miner, drift-detector true/false-positive behaviour over the
+// Drift suite (ROADMAP item 5): batch mining — the decay-0 incremental
+// fold — against the frozen batch fold of reference_mining.hpp,
+// drift-detector true/false-positive behaviour over the
 // synthetic drift archetypes, the policy-level drift confidence gate,
 // and the online re-mine-on-drift adaptation loop.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "engine/trace_index.hpp"
 #include "eval/session.hpp"
+#include "fault/fault_plan.hpp"
+#include "fault/injector.hpp"
 #include "mining/drift.hpp"
 #include "mining/habits.hpp"
 #include "mining/incremental.hpp"
 #include "policy/netmaster.hpp"
+#include "reference_mining.hpp"
 #include "service/online_sim.hpp"
 #include "sim/accounting.hpp"
 #include "synth/drift.hpp"
@@ -31,47 +36,54 @@ constexpr synth::Archetype kAllArchetypes[] = {
 };
 constexpr std::uint64_t kSeeds[] = {1, 7, 31};
 
-void expect_models_bitwise_equal(const mining::HabitModel& a,
-                                 const mining::HabitModel& b,
-                                 const std::string& context) {
-  for (const mining::DayKind kind :
-       {mining::DayKind::kWeekday, mining::DayKind::kWeekend}) {
-    const mining::HourStats& sa = a.stats(kind);
-    const mining::HourStats& sb = b.stats(kind);
-    ASSERT_EQ(sa.days_observed, sb.days_observed) << context;
-    for (int h = 0; h < kHoursPerDay; ++h) {
-      // EQ, not NEAR: decay = 0 must reproduce the batch fold bit for
-      // bit (same additions in the same order, same final division).
-      ASSERT_EQ(sa.pr_active[h], sb.pr_active[h]) << context << " h" << h;
-      ASSERT_EQ(sa.pr_net[h], sb.pr_net[h]) << context << " h" << h;
-      ASSERT_EQ(sa.mean_intensity[h], sb.mean_intensity[h])
-          << context << " h" << h;
-      ASSERT_EQ(sa.mean_net_count[h], sb.mean_net_count[h])
-          << context << " h" << h;
-      ASSERT_EQ(sa.mean_net_bytes[h], sb.mean_net_bytes[h])
-          << context << " h" << h;
-      ASSERT_EQ(sa.confidence[h], sb.confidence[h]) << context << " h" << h;
-    }
-  }
-  ASSERT_EQ(a.data_quality(), b.data_quality()) << context;
-  ASSERT_EQ(a.overall_confidence(), b.overall_confidence()) << context;
+void expect_matches_reference(const mining::HabitModel& model,
+                              const reference::MinedHabits& expected,
+                              const std::string& context) {
+  // Bit patterns, not NEAR: batch mining is the decay-0 fold, so it
+  // must perform the frozen fold's additions in the same order and the
+  // same final division.
+  EXPECT_EQ(reference::model_mismatch(model, expected), "") << context;
 }
 
 // ---- Incremental miner: batch equivalence. ---------------------------
 
 TEST(IncrementalMiner, DecayZeroReproducesBatchBitForBit) {
-  for (const synth::Archetype arch : kAllArchetypes) {
-    for (const std::uint64_t seed : kSeeds) {
+  constexpr synth::Archetype kEveryArchetype[] = {
+      synth::Archetype::kOfficeWorker,   synth::Archetype::kStudent,
+      synth::Archetype::kNightOwl,       synth::Archetype::kCommuter,
+      synth::Archetype::kRetiree,        synth::Archetype::kHeavyMessenger,
+      synth::Archetype::kWeekendWarrior, synth::Archetype::kLightUser,
+      synth::Archetype::kMediaStreamer,  synth::Archetype::kPodcastCommuter,
+  };
+  for (const synth::Archetype arch : kEveryArchetype) {
+    for (const std::uint64_t seed : {1, 7}) {
       const synth::UserProfile profile = synth::make_user(arch, 1);
       const UserTrace trace = synth::generate_trace(profile, 14, seed);
       const engine::TraceIndex index(trace);
+      const std::string context =
+          "archetype " + profile.name + " seed " + std::to_string(seed);
 
-      const mining::HabitModel batch = mining::HabitModel::mine(index);
+      const reference::MinedHabits expected =
+          reference::mine(index, 0, index.num_days());
+      expect_matches_reference(mining::HabitModel::mine(index), expected,
+                               context + " mine(index)");
+      expect_matches_reference(mining::HabitModel::mine(trace),
+                               reference::mine(trace),
+                               context + " mine(trace)");
       mining::IncrementalHabitMiner miner;  // decay = 0
       miner.observe_index(index);
-      expect_models_bitwise_equal(
-          batch, miner.snapshot(),
-          "archetype " + profile.name + " seed " + std::to_string(seed));
+      expect_matches_reference(miner.snapshot(), expected,
+                               context + " snapshot");
+
+      // Without an app table no bucket has a distinct app to count:
+      // Pr[n] must stay exactly 0, not 0/0.
+      UserTrace bare = trace;
+      bare.app_names.clear();
+      const engine::TraceIndex bare_index(bare);
+      expect_matches_reference(
+          mining::HabitModel::mine(bare_index),
+          reference::mine(bare_index, 0, bare_index.num_days()),
+          context + " no apps");
     }
   }
 }
@@ -80,15 +92,62 @@ TEST(IncrementalMiner, WindowedBatchMineMatchesFullMine) {
   const UserTrace trace = synth::generate_trace(
       synth::make_user(synth::Archetype::kStudent, 2), 21, 9);
   const engine::TraceIndex index(trace);
-  expect_models_bitwise_equal(mining::HabitModel::mine(index),
-                              mining::HabitModel::mine(index, 0, 21),
-                              "full window");
+  // Every window [a, b), empty ones included, keeps its absolute day
+  // kinds and matches the frozen fold of exactly those days.
+  for (int a = 0; a <= 21; ++a) {
+    for (int b = a; b <= 21; ++b) {
+      expect_matches_reference(
+          mining::HabitModel::mine(index, a, b),
+          reference::mine(index, a, b),
+          "days [" + std::to_string(a) + ", " + std::to_string(b) + ")");
+    }
+  }
 
   // A strict sub-window equals incremental observation of those days.
   mining::IncrementalHabitMiner miner;
   for (int d = 7; d < 18; ++d) miner.observe_day(d, index);
-  expect_models_bitwise_equal(mining::HabitModel::mine(index, 7, 18),
-                              miner.snapshot(), "days [7, 18)");
+  expect_matches_reference(miner.snapshot(), reference::mine(index, 7, 18),
+                           "incremental days [7, 18)");
+}
+
+TEST(IncrementalMiner, TolerantMineMatchesReferenceOnFaultedTraces) {
+  // The chaos corpus: every fault kind at every rate and seed, then all
+  // kinds stacked, on a 7-day office-worker training trace. A trace
+  // that fails validate() is mined from its repair, and the ledger's
+  // quality score must reach data_quality unchanged.
+  eval::ExperimentConfig cfg;
+  cfg.train_days = 7;
+  cfg.eval_days = 3;
+  cfg.seed = 42;
+  const UserTrace training =
+      eval::make_traces(
+          synth::make_user(synth::Archetype::kOfficeWorker, 1), cfg)
+          .training;
+  bool repaired_any = false;
+  for (const std::uint64_t seed : {1, 7, 31}) {
+    fault::FaultPlan stacked;
+    stacked.seed = seed;
+    for (const fault::FaultKind kind : fault::all_fault_kinds()) {
+      stacked.with(kind, 0.4);
+      for (const double rate : {0.05, 0.2, 0.5}) {
+        fault::FaultPlan plan;
+        plan.seed = seed;
+        plan.with(kind, rate);
+        const UserTrace faulted = fault::inject_faults(training, plan).trace;
+        const reference::MinedHabits expected = reference::mine(faulted);
+        repaired_any = repaired_any || expected.data_quality < 1.0;
+        expect_matches_reference(
+            mining::HabitModel::mine(faulted), expected,
+            std::string(fault::kind_name(kind)) + " rate " +
+                std::to_string(rate) + " seed " + std::to_string(seed));
+      }
+    }
+    const UserTrace faulted = fault::inject_faults(training, stacked).trace;
+    expect_matches_reference(mining::HabitModel::mine(faulted),
+                             reference::mine(faulted),
+                             "stacked seed " + std::to_string(seed));
+  }
+  EXPECT_TRUE(repaired_any);  // the corpus reaches the quality scaling
 }
 
 TEST(IncrementalMiner, DecayShiftsEstimatesTowardRecentDays) {

@@ -4,6 +4,7 @@
 // and the end-to-end fleet snapshot via NETMASTER_METRICS_OUT.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
@@ -101,6 +102,33 @@ TEST(ObsP2Quantile, ExactBelowFiveSamples) {
   med.add(2.0);
   EXPECT_DOUBLE_EQ(med.value(), 2.0);
   EXPECT_EQ(med.count(), 3u);
+
+  // Every prefix length below five, in ascending, descending and
+  // duplicate-bearing orders, against nearest-rank on a sorted copy.
+  for (const double q : {0.1, 0.5, 0.9}) {
+    for (std::size_t n = 1; n <= 4; ++n) {
+      std::vector<double> ascending;
+      std::vector<double> descending;
+      std::vector<double> duplicates;  // 2, 1, 2, 1
+      for (std::size_t i = 0; i < n; ++i) {
+        ascending.push_back(static_cast<double>(i + 1));
+        descending.push_back(static_cast<double>(n - i));
+        duplicates.push_back(i % 2 == 0 ? 2.0 : 1.0);
+      }
+      for (const std::vector<double>& samples :
+           {ascending, descending, duplicates}) {
+        P2Quantile p(q);
+        for (const double x : samples) p.add(x);
+        std::vector<double> sorted = samples;
+        std::sort(sorted.begin(), sorted.end());
+        const auto rank = static_cast<std::size_t>(
+            q * static_cast<double>(n - 1) + 0.5);
+        EXPECT_EQ(p.count(), n);
+        EXPECT_EQ(p.value(), sorted[rank])
+            << "q " << q << " n " << n << " first " << samples[0];
+      }
+    }
+  }
 }
 
 TEST(ObsP2Quantile, ApproximatesStreamingMedian) {

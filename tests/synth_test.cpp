@@ -64,6 +64,13 @@ TEST(Presets, StandardPopulationHas23Apps) {
   }
 }
 
+TEST(Presets, RejectsOutOfRangeArchetype) {
+  EXPECT_THROW(make_user(static_cast<Archetype>(-1), 1), Error);
+  EXPECT_THROW(make_user(static_cast<Archetype>(10), 1), Error);
+  EXPECT_EQ(make_user(Archetype::kPodcastCommuter, 1).name,
+            "podcast-commuter");
+}
+
 TEST(Presets, StudyPopulationIdsAndDistinctness) {
   const auto users = study_population();
   ASSERT_EQ(users.size(), 8u);
